@@ -1,8 +1,8 @@
 //! Rollback-search cost versus history size and trial-executor threads.
 //!
 //! The repair search's cost is dominated by trial execution: every
-//! candidate rollback materialises a sandbox over the full configuration
-//! and renders it. The sweep grows one scenario's recorded history
+//! candidate rollback is patched into the executor's one sandbox, rendered,
+//! and undone again. The sweep grows one scenario's recorded history
 //! (`ocasta repair`'s inputs get bigger as a deployment ages — more
 //! transactions per cluster means more candidates) and runs the search to
 //! exhaustion sequentially and with 2/4 concurrent trial executors, via
@@ -290,7 +290,7 @@ pub fn run() -> (String, String) {
 
     // The compute above renders screenshots in microseconds; a *real* trial
     // replays a GUI script in a sandbox (Table IV charges seconds per
-    // trial). At that cost the wave-parallel search divides user-facing
+    // trial). At that cost the parallel search divides user-facing
     // wall-clock by the executor count:
     let all = ocasta::scenarios();
     let trial_cost = all

@@ -98,7 +98,7 @@ pub use ocasta_parsers::{
 pub use ocasta_repair::{
     parallel_search, search, simulate_case, singleton_clusters, CaseUserModel, CatalogHorizon,
     ClusterCatalog, FixOracle, RepairSession, Screenshot, SearchConfig, SearchOutcome,
-    SearchStrategy, SessionReport, SyncGallery, Trial, UserStudyParams,
+    SearchStrategy, SessionReport, Trial, UserStudyParams,
 };
 pub use ocasta_trace::{
     generate, mutation_feed, AccessEvent, EventStream, GeneratorConfig, MachineProfile, Mutation,

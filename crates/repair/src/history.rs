@@ -1,7 +1,7 @@
 //! Cluster version history: the rollback candidates the search walks.
 
 use ocasta_cluster::{TransactionWindow, WriteEvent};
-use ocasta_ttkv::{ConfigState, Key, TimeDelta, Timestamp, Ttkv};
+use ocasta_ttkv::{ConfigState, Key, TimeDelta, Timestamp, Ttkv, Value};
 
 /// One cluster's searchable state: its keys, modification statistics and
 /// rollback candidates.
@@ -102,33 +102,80 @@ impl ClusterInfo {
 
     /// The rollback patch for version `at`: every member key's value just
     /// before that transaction started (`None` = the key did not exist and
-    /// must be removed).
-    pub fn rollback_patch(
-        &self,
-        ttkv: &Ttkv,
-        at: Timestamp,
-    ) -> Vec<(Key, Option<ocasta_ttkv::Value>)> {
-        let before = at.saturating_sub(TimeDelta::from_millis(1));
+    /// must be removed). Nothing precedes [`Timestamp::EPOCH`], so undoing a
+    /// transaction there removes every member key.
+    pub fn rollback_patch(&self, ttkv: &Ttkv, at: Timestamp) -> Vec<(Key, Option<Value>)> {
         self.keys
             .iter()
-            .map(|k| (k.clone(), ttkv.value_at(k.as_str(), before).cloned()))
+            .map(|k| (k.clone(), value_before(ttkv, k, at).cloned()))
             .collect()
     }
 
-    /// Applies the rollback for version `at` to a sandbox copy of `base`.
-    pub fn apply_rollback(&self, ttkv: &Ttkv, at: Timestamp, base: &ConfigState) -> ConfigState {
-        let mut sandbox = base.clone();
-        for (key, value) in self.rollback_patch(ttkv, at) {
-            match value {
-                Some(v) => {
-                    sandbox.set(key, v);
-                }
-                None => {
-                    sandbox.remove(key.as_str());
-                }
-            }
+    /// Runs `run` against `sandbox` with the rollback for version `at`
+    /// applied, then restores `sandbox` exactly — the trial isolation of
+    /// §III-B without copying the configuration.
+    ///
+    /// The patch is applied in place with [`ConfigState::set`] /
+    /// [`ConfigState::remove`], whose returned previous values form an undo
+    /// log that is replayed in reverse once `run` returns, so a call costs
+    /// O(member keys · log(sandbox keys)) however large the configuration
+    /// is. If `run` panics the sandbox is left patched.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ocasta_repair::ClusterInfo;
+    /// use ocasta_ttkv::{Key, TimeDelta, Timestamp, Ttkv, Value};
+    ///
+    /// let mut ttkv = Ttkv::new();
+    /// ttkv.write(Timestamp::from_secs(1), "app/toolbar", Value::from(true));
+    /// ttkv.write(Timestamp::from_secs(90), "app/toolbar", Value::from(false));
+    /// let info = ClusterInfo::build(
+    ///     &ttkv,
+    ///     vec![Key::new("app/toolbar")],
+    ///     TimeDelta::from_secs(1),
+    ///     None,
+    ///     None,
+    /// );
+    /// let base = ttkv.snapshot_latest();
+    /// let mut sandbox = base.clone();
+    /// let shown = info.with_rollback(&ttkv, Timestamp::from_secs(90), &mut sandbox, |config| {
+    ///     config.get_bool("app/toolbar")
+    /// });
+    /// assert_eq!(shown, Some(true)); // the t=90 change is undone
+    /// assert_eq!(sandbox, base); // and the sandbox is back as it was
+    /// ```
+    pub fn with_rollback<R>(
+        &self,
+        ttkv: &Ttkv,
+        at: Timestamp,
+        sandbox: &mut ConfigState,
+        run: impl FnOnce(&ConfigState) -> R,
+    ) -> R {
+        let undo: Vec<(&Key, Option<Value>)> = self
+            .keys
+            .iter()
+            .map(|k| (k, put(sandbox, k, value_before(ttkv, k, at).cloned())))
+            .collect();
+        let result = run(sandbox);
+        for (k, previous) in undo.into_iter().rev() {
+            put(sandbox, k, previous);
         }
-        sandbox
+        result
+    }
+}
+
+/// The live value of `key` just before a transaction at `at`.
+fn value_before<'a>(ttkv: &'a Ttkv, key: &Key, at: Timestamp) -> Option<&'a Value> {
+    let before = at.as_millis().checked_sub(1)?;
+    ttkv.value_at(key.as_str(), Timestamp::from_millis(before))
+}
+
+/// Sets (`Some`) or removes (`None`) `key`, returning what it held before.
+fn put(sandbox: &mut ConfigState, key: &Key, value: Option<Value>) -> Option<Value> {
+    match value {
+        Some(v) => sandbox.set(key.clone(), v),
+        None => sandbox.remove(key.as_str()),
     }
 }
 
@@ -218,6 +265,17 @@ mod tests {
         assert_eq!(info.versions, vec![ts(100)]);
     }
 
+    /// Applies the rollback for `at` to a sandbox over `base`, returning
+    /// the rolled-back configuration the trial saw — and checking that the
+    /// undo left the sandbox exactly equal to `base` again.
+    fn rolled_back(info: &ClusterInfo, ttkv: &Ttkv, at: Timestamp) -> ConfigState {
+        let base = ttkv.snapshot_latest();
+        let mut sandbox = base.clone();
+        let seen = info.with_rollback(ttkv, at, &mut sandbox, ConfigState::clone);
+        assert_eq!(sandbox, base, "the undo restores the sandbox");
+        seen
+    }
+
     #[test]
     fn rollback_restores_pre_transaction_values() {
         let ttkv = store();
@@ -228,17 +286,17 @@ mod tests {
             None,
             None,
         );
-        let base = ttkv.snapshot_latest();
-        assert_eq!(base.get_int("app/a"), Some(2));
+        assert_eq!(ttkv.snapshot_latest().get_int("app/a"), Some(2));
         // Undo the t=5000 transaction.
-        let rolled = info.apply_rollback(&ttkv, ts(5000), &base);
+        let rolled = rolled_back(&info, &ttkv, ts(5000));
         assert_eq!(rolled.get_int("app/a"), Some(1));
         assert_eq!(rolled.get_int("app/b"), Some(10));
         assert_eq!(rolled.get_bool("app/c"), Some(true), "other keys untouched");
         // Undo the t=100 transaction: keys did not exist before it.
-        let rolled = info.apply_rollback(&ttkv, ts(100), &base);
+        let rolled = rolled_back(&info, &ttkv, ts(100));
         assert_eq!(rolled.get("app/a"), None);
         assert_eq!(rolled.get("app/b"), None);
+        assert_eq!(rolled.get_bool("app/c"), Some(true));
     }
 
     #[test]
@@ -252,11 +310,57 @@ mod tests {
             None,
             None,
         );
-        let base = ttkv.snapshot_latest();
-        assert_eq!(base.get("app/a"), None);
-        // Undo the deletion transaction (t=9000): the key comes back.
-        let rolled = info.apply_rollback(&ttkv, ts(9000), &base);
+        assert_eq!(ttkv.snapshot_latest().get("app/a"), None);
+        // Undo the deletion transaction (t=9000): the key comes back, and
+        // the undo deletes it from the sandbox again.
+        let rolled = rolled_back(&info, &ttkv, ts(9000));
         assert_eq!(rolled.get_int("app/a"), Some(2));
+    }
+
+    #[test]
+    fn undoing_an_epoch_transaction_removes_every_member_key() {
+        // Regression: the pre-transaction read used to saturate at the
+        // epoch, so undoing a version at EPOCH read the version itself
+        // and left `app/a = 1` in place.
+        let mut ttkv = Ttkv::new();
+        ttkv.write(Timestamp::EPOCH, "app/a", Value::from(1));
+        ttkv.write(ts(100), "app/a", Value::from(2));
+        let info = ClusterInfo::build(
+            &ttkv,
+            vec![Key::new("app/a")],
+            TimeDelta::from_secs(1),
+            None,
+            None,
+        );
+        assert_eq!(info.versions, vec![ts(100), Timestamp::EPOCH]);
+        assert_eq!(
+            info.rollback_patch(&ttkv, Timestamp::EPOCH),
+            vec![(Key::new("app/a"), None)]
+        );
+        let rolled = rolled_back(&info, &ttkv, Timestamp::EPOCH);
+        assert_eq!(rolled.get("app/a"), None);
+        assert!(rolled.is_empty());
+        // The later version still undoes to the epoch write.
+        assert_eq!(rolled_back(&info, &ttkv, ts(100)).get_int("app/a"), Some(1));
+    }
+
+    #[test]
+    fn repeated_member_keys_undo_in_reverse() {
+        // A key listed twice is patched twice; replaying the undo log in
+        // reverse still restores its original value.
+        let ttkv = store();
+        let info = ClusterInfo::build(
+            &ttkv,
+            vec![Key::new("app/a"), Key::new("app/a")],
+            TimeDelta::from_secs(1),
+            None,
+            None,
+        );
+        assert_eq!(
+            rolled_back(&info, &ttkv, ts(5000)).get_int("app/a"),
+            Some(1)
+        );
+        assert_eq!(rolled_back(&info, &ttkv, ts(100)).get("app/a"), None);
     }
 
     #[test]

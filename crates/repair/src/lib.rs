@@ -10,14 +10,15 @@
 //! cluster values for a rollback that clears the symptom.
 //!
 //! * [`ClusterInfo`] — a cluster's version history (co-modification
-//!   transactions) and rollback patches;
+//!   transactions) and rollback patches, applied to a sandbox in place and
+//!   undone after each trial;
 //! * [`Trial`] / [`FixOracle`] / [`Screenshot`] — the deterministic stand-in
 //!   for GUI replay, pixel screenshots and the human in the loop;
 //! * [`search`] — the DFS/BFS rollback search with modification-count
 //!   cluster sorting, start/end time bounds and screenshot deduplication;
 //! * [`parallel_search`] — the same search with concurrent trial executors
-//!   and thread-safe screenshot dedup ([`SyncGallery`]), property-tested
-//!   equal to [`search`] outcome for outcome;
+//!   that each patch and restore one sandbox, folded in plan order and
+//!   property-tested equal to [`search`] outcome for outcome;
 //! * [`RepairSession`] / [`ClusterCatalog`] — the service tier: repair runs
 //!   pinned to a live-stream snapshot (epoch/watermark-stamped catalog plus
 //!   a point-in-time history view) so sessions proceed while fleet
@@ -69,7 +70,7 @@ mod user_model;
 
 pub use history::{singleton_clusters, sorted_cluster_infos, ClusterInfo};
 pub use parallel::{parallel_search, parallel_search_observed};
-pub use screenshot::{Screenshot, ScreenshotGallery, SyncGallery};
+pub use screenshot::{Screenshot, ScreenshotGallery};
 pub use search::{search, FixInfo, SearchConfig, SearchOutcome, SearchStrategy};
 pub use session::{CatalogHorizon, ClusterCatalog, RepairSession, SessionReport};
 pub use trial::{FixOracle, Trial};

@@ -2,34 +2,47 @@
 //! concurrently, with the sequential search's answers — exactly.
 //!
 //! A repair trial is the expensive step of the loop (§III-B: sandbox reset,
-//! application launch, UI replay, screenshot — modeled here as rollback
-//! materialisation plus a render). Trials at nearby positions in the visit
-//! plan are independent: each one rolls back a candidate version onto the
-//! *same* erroneous base state and renders. [`parallel_search`] exploits
-//! that by cutting the sequential plan into waves of `threads` candidates,
-//! running each wave's trials on scoped threads, and then folding the
-//! wave's results back **in plan order** into the shared thread-safe
-//! gallery ([`SyncGallery`]). Because every counter the search reports —
-//! first fix, trials-to-fix, unique screenshots at the fix — is updated
-//! during the in-order fold, the outcome equals [`search`]'s field for
-//! field, which the property suite asserts on random histories
-//! (`tests/prop.rs`) and `DESIGN.md §5.8` argues structurally.
+//! application launch, UI replay, screenshot — modeled here as patching a
+//! rollback into a sandbox, rendering, and undoing the patch). Trials are
+//! independent: each one rolls back a candidate version onto the *same*
+//! erroneous base state and renders. [`parallel_search`] exploits that
+//! with executors that live for the whole search, each owning one sandbox
+//! copy of the base: they claim plan positions from a shared cursor and
+//! report `(position, screenshot, fixed)` over a channel, while the
+//! coordinating thread runs trials too and folds every result **in plan
+//! order**. Because every counter the search reports — first fix,
+//! trials-to-fix, unique screenshots at the fix — is updated during that
+//! in-order fold, the outcome equals [`search`]'s field for field, which the
+//! property suite asserts on random histories (`tests/prop.rs`) and
+//! `DESIGN.md §5.8` argues structurally.
 //!
 //! [`search`]: crate::search::search
 
-use ocasta_ttkv::{ConfigState, Key, Timestamp, Ttkv};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
-use crate::history::{sorted_cluster_infos, ClusterInfo};
-use crate::screenshot::{Screenshot, SyncGallery};
-use crate::search::{plan, FixInfo, SearchConfig, SearchOutcome};
+use ocasta_ttkv::{Key, Timestamp, Ttkv};
+
+use crate::history::sorted_cluster_infos;
+use crate::screenshot::Screenshot;
+use crate::search::{plan, run_trial, SearchConfig, SearchOutcome, Tally};
 use crate::trial::{FixOracle, Trial};
 
 /// Runs the repair search with up to `threads` concurrent trial executors.
 ///
 /// Semantics are identical to [`search`](crate::search::search) — same
 /// visit order, same fix, same trial and screenshot counts — only the
-/// wall-clock of executing the trials changes. `threads == 1` degenerates
-/// to the sequential loop with no thread spawns at all.
+/// wall-clock of executing the trials changes. The calling thread is one of
+/// the executors and the other `min(threads, trials) − 1` are spawned once
+/// per search, each with its own sandbox copy of the base configuration;
+/// `threads == 1` degenerates to the sequential loop with no thread spawns
+/// at all.
+///
+/// # Panics
+///
+/// If a trial's render or oracle panics, on any executor, the search
+/// panics too; it never returns an outcome that is missing a trial.
 ///
 /// # Examples
 ///
@@ -63,9 +76,10 @@ pub fn parallel_search(
     parallel_search_observed(ttkv, clusters, trial, oracle, config, threads, |_| {})
 }
 
-/// [`parallel_search`] with a progress observer: after each wave of trials
-/// completes, `on_progress` receives the oldest history timestamp the
-/// **remaining** plan can still touch (via
+/// [`parallel_search`] with a progress observer: each time another
+/// `threads` trials have been folded (the boundaries of `threads`-wide
+/// waves through the plan), `on_progress` receives the oldest history
+/// timestamp the **remaining** plan can still touch (via
 /// [`SearchConfig::oldest_history_needed`] applied to the oldest surviving
 /// candidate version — the single owner of the window-plus-millisecond
 /// slack).
@@ -76,12 +90,13 @@ pub fn parallel_search(
 /// each report straight into [`ocasta_ttkv::HorizonPin::advance`], letting
 /// retention follow the search instead of stalling at the session's
 /// starting window for its whole life (the pin-starvation fix,
-/// `DESIGN.md §5.9`). The observer runs on the coordinating thread, between
-/// waves; it does not perturb the search — outcomes equal
+/// `DESIGN.md §5.9`). Trials still in flight all sit at or past the folded
+/// prefix, so the bound covers them too. The observer runs on the
+/// coordinating thread; it does not perturb the search — outcomes equal
 /// [`parallel_search`]'s (and therefore the sequential search's) field for
 /// field.
 ///
-/// When the final wave completes, the observer is *not* called with an
+/// When the final trial is folded, the observer is *not* called with an
 /// "everything prunable" bound: releasing the last of the protection is the
 /// pin drop's job, and the driver may still read the pinned snapshot while
 /// assembling its report.
@@ -102,103 +117,88 @@ pub fn parallel_search_observed(
         config.start_time,
         config.end_time,
     );
-    let base = ttkv.snapshot_latest();
-    let baseline_shot = trial.run(&base);
-    let gallery = SyncGallery::with_baseline(baseline_shot);
-
     let visits = plan(&infos, config.strategy);
     // Suffix minima over candidate version timestamps: `oldest_after[i]` is
     // the oldest version any trial from position `i` onward can roll back
     // to — what the remaining plan still needs from history.
-    let mut oldest_after: Vec<Option<Timestamp>> = vec![None; visits.len() + 1];
-    for i in (0..visits.len()).rev() {
-        let version = visits[i].1;
-        oldest_after[i] = Some(oldest_after[i + 1].map_or(version, |m| version.min(m)));
+    let mut oldest_after = visits
+        .iter()
+        .map(|&(_, version)| version)
+        .collect::<Vec<_>>();
+    for i in (1..oldest_after.len()).rev() {
+        oldest_after[i - 1] = oldest_after[i - 1].min(oldest_after[i]);
     }
-    let mut fix: Option<FixInfo> = None;
-    let mut trials_to_fix = None;
-    let mut screenshots_to_fix = 0;
-    let mut trials = 0usize;
 
-    for wave in visits.chunks(threads) {
-        // Execute the wave's trials concurrently: the coordinator takes the
-        // first candidate itself, scoped threads take the rest (so a wave
-        // of one — and therefore threads == 1 — spawns nothing).
-        let results: Vec<(Screenshot, bool)> = if wave.len() == 1 {
-            let (rank, version) = wave[0];
-            vec![run_trial(ttkv, &infos[rank], version, &base, trial, oracle)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = wave[1..]
-                    .iter()
-                    .map(|&(rank, version)| {
-                        let info = &infos[rank];
-                        let base = &base;
-                        scope.spawn(move || run_trial(ttkv, info, version, base, trial, oracle))
-                    })
-                    .collect();
-                let first = run_trial(ttkv, &infos[wave[0].0], wave[0].1, &base, trial, oracle);
-                std::iter::once(first)
-                    .chain(
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("trial executor panicked")),
-                    )
-                    .collect()
-            })
-        };
-        // Fold the wave back in plan order: this is what keeps the fix
-        // choice and every counter bit-identical to the sequential search.
-        for (offset, (shot, fixed_now)) in results.into_iter().enumerate() {
-            trials += 1;
-            gallery.record(shot);
-            if fixed_now && fix.is_none() {
-                let (rank, version) = wave[offset];
-                fix = Some(FixInfo {
-                    cluster_rank: rank,
-                    keys: infos[rank].keys.clone(),
-                    version,
-                });
-                trials_to_fix = Some(trials);
-                screenshots_to_fix = gallery.len();
+    let base = ttkv.snapshot_latest();
+    let mut tally = Tally::new(trial.run(&base));
+    // The next unclaimed plan position. `Relaxed` suffices: the cursor only
+    // hands out distinct positions, and every result travels back through
+    // the channel, which synchronises.
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<(usize, Screenshot, bool)>();
+        // The coordinator is one of the `threads` executors, so a plan of
+        // one trial (and therefore threads == 1) spawns nothing.
+        for _ in 1..threads.min(visits.len()) {
+            let tx = tx.clone();
+            let (infos, visits, base, cursor) = (&infos, &visits, &base, &cursor);
+            scope.spawn(move || {
+                let mut sandbox = base.clone();
+                loop {
+                    let position = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(&(rank, version)) = visits.get(position) else {
+                        break;
+                    };
+                    let (shot, fixed) =
+                        run_trial(ttkv, &infos[rank], version, &mut sandbox, trial, oracle);
+                    if tx.send((position, shot, fixed)).is_err() {
+                        break; // the coordinator is unwinding
+                    }
+                }
+            });
+        }
+        // Only executors hold senders now: once they have all exited, a
+        // wait on `rx` ends instead of blocking forever.
+        drop(tx);
+
+        let mut sandbox = base.clone();
+        // Results that arrived ahead of the fold, keyed by plan position.
+        let mut ahead: BTreeMap<usize, (Screenshot, bool)> = BTreeMap::new();
+        while tally.trials() < visits.len() {
+            let next = tally.trials();
+            let Some((shot, fixed)) = ahead.remove(&next) else {
+                // `next` is still running elsewhere: run another trial
+                // here, or wait for the executors once every position is
+                // claimed. Every sender dropped with a result still
+                // missing means an executor panicked mid-trial.
+                let position = cursor.fetch_add(1, Ordering::Relaxed);
+                if let Some(&(rank, version)) = visits.get(position) {
+                    let result =
+                        run_trial(ttkv, &infos[rank], version, &mut sandbox, trial, oracle);
+                    ahead.insert(position, result);
+                } else {
+                    let (p, shot, fixed) = rx.recv().expect("trial executor panicked");
+                    ahead.insert(p, (shot, fixed));
+                }
+                ahead.extend(rx.try_iter().map(|(p, shot, fixed)| (p, (shot, fixed))));
+                continue;
+            };
+            let (rank, version) = visits[next];
+            tally.fold(&infos, rank, version, shot, fixed);
+            // Progress after every `threads` folded trials, never after the
+            // last: every trial still running or unclaimed sits at or past
+            // `folded`, so the suffix minimum bounds what it can touch.
+            let folded = tally.trials();
+            if folded.is_multiple_of(threads) && folded < visits.len() {
+                let remaining = SearchConfig {
+                    start_time: Some(oldest_after[folded]),
+                    ..config.clone()
+                };
+                on_progress(remaining.oldest_history_needed());
             }
         }
-        // The wave's trials are folded: everything the *remaining* plan
-        // can touch starts at the suffix minimum past this wave.
-        if let Some(oldest) = oldest_after[trials] {
-            let remaining = SearchConfig {
-                start_time: Some(oldest),
-                ..config.clone()
-            };
-            on_progress(remaining.oldest_history_needed());
-        }
-    }
-
-    SearchOutcome {
-        trials_to_fix,
-        total_trials: trials,
-        screenshots_to_fix,
-        total_screenshots: gallery.len(),
-        time_to_fix: trials_to_fix.map(|n| config.trial_cost.scale(n as u64)),
-        total_time: config.trial_cost.scale(trials as u64),
-        clusters_searched: infos.iter().filter(|i| !i.versions.is_empty()).count(),
-        fix,
-    }
-}
-
-/// One trial: materialise the rollback sandbox, render, judge.
-fn run_trial(
-    ttkv: &Ttkv,
-    info: &ClusterInfo,
-    version: Timestamp,
-    base: &ConfigState,
-    trial: &Trial,
-    oracle: &FixOracle,
-) -> (Screenshot, bool) {
-    let sandbox = info.apply_rollback(ttkv, version, base);
-    let shot = trial.run(&sandbox);
-    let fixed = oracle.is_fixed(&shot);
-    (shot, fixed)
+    });
+    tally.finish(&infos, config)
 }
 
 #[cfg(test)]
@@ -300,6 +300,69 @@ mod tests {
             // full span of candidate versions.
             let initial = config.oldest_history_needed();
             assert!(reports.iter().all(|&t| t >= initial));
+        }
+    }
+
+    #[test]
+    fn a_panicking_trial_panics_out_of_the_search() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        // Seven trials: one key rewritten at t = 10, 20, …, 70 s. The first
+        // trial on every executor waits at a barrier until all `threads`
+        // executors hold one, which forces the one trial that panics onto
+        // the executor each case names: the coordinator, or a spawned
+        // executor whose dropped sender must end the coordinator's wait.
+        for threads in [2, 3] {
+            for panic_on_coordinator in [None, Some(true), Some(false)] {
+                // Search on a watchdog thread: a coordinator stuck waiting
+                // for a result that never comes fails the test instead of
+                // hanging it.
+                let (done_tx, done_rx) = mpsc::channel();
+                std::thread::spawn(move || {
+                    let mut ttkv = Ttkv::new();
+                    for v in 0..7u64 {
+                        ttkv.write(ts(10 * (v + 1)), "app/k", Value::from(v as i64));
+                    }
+                    let coordinator = std::thread::current().id();
+                    let barrier = Barrier::new(threads);
+                    let (arrived, panicked) = (AtomicUsize::new(0), AtomicBool::new(false));
+                    let trial = Trial::new("poisoned", move |config| {
+                        let value = config.get_int("app/k");
+                        // The baseline render (value 6) precedes every
+                        // executor, so it stays out of the barrier.
+                        if value != Some(6) && arrived.fetch_add(1, Ordering::SeqCst) < threads {
+                            barrier.wait();
+                            let here = std::thread::current().id() == coordinator;
+                            if panic_on_coordinator == Some(here)
+                                && !panicked.swap(true, Ordering::SeqCst)
+                            {
+                                panic!("render failed on {value:?}");
+                            }
+                        }
+                        Screenshot::from_iter([format!("k:{value:?}")])
+                    });
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        parallel_search(
+                            &ttkv,
+                            &singleton_clusters(&ttkv),
+                            &trial,
+                            &FixOracle::element_visible("never"),
+                            &SearchConfig::default(),
+                            threads,
+                        )
+                    }));
+                    let _ = done_tx.send(outcome.map(|o| o.total_trials));
+                });
+                let case =
+                    format!("threads={threads} panic_on_coordinator={panic_on_coordinator:?}");
+                match done_rx.recv_timeout(std::time::Duration::from_secs(60)) {
+                    Ok(Ok(trials)) if panic_on_coordinator.is_none() => assert_eq!(trials, 7),
+                    Ok(Err(_)) if panic_on_coordinator.is_some() => {} // the panic surfaced
+                    Ok(result) => panic!("{case}: {result:?}"),
+                    Err(_) => panic!("{case}: the search never returned"),
+                }
+            }
         }
     }
 

@@ -7,7 +7,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Mutex;
 
 /// The rendered, user-visible state of an application.
 ///
@@ -154,74 +153,6 @@ impl ScreenshotGallery {
     }
 }
 
-/// A thread-safe [`ScreenshotGallery`]: screenshot dedup that is safe to
-/// share across threads.
-///
-/// Recording takes `&self`, so the gallery can be held by reference from
-/// many threads at once (the doctest below races eight recorders); the
-/// dedup rule — drop anything equal to the baseline or to an already-kept
-/// screenshot — is identical to the sequential gallery's. One caveat
-/// governs how the parallel search uses it: when *counts at a given
-/// moment* must match a sequential execution (the `screenshots_to_fix`
-/// column), recording order must be serialised, so
-/// [`parallel_search`](crate::parallel_search) runs trials concurrently
-/// but routes every `record` through its in-plan-order fold (see
-/// `DESIGN.md §5.8`).
-///
-/// # Examples
-///
-/// ```
-/// use ocasta_repair::{Screenshot, SyncGallery};
-///
-/// let baseline: Screenshot = ["broken"].into_iter().collect();
-/// let gallery = SyncGallery::with_baseline(baseline);
-/// std::thread::scope(|scope| {
-///     for _ in 0..4 {
-///         let gallery = &gallery;
-///         scope.spawn(move || {
-///             gallery.record(["fixed"].into_iter().collect());
-///         });
-///     }
-/// });
-/// assert_eq!(gallery.len(), 1, "duplicates dropped across threads");
-/// ```
-#[derive(Debug, Default)]
-pub struct SyncGallery {
-    inner: Mutex<ScreenshotGallery>,
-}
-
-impl SyncGallery {
-    /// Creates a thread-safe gallery with the erroneous baseline screenshot.
-    pub fn with_baseline(baseline: Screenshot) -> Self {
-        SyncGallery {
-            inner: Mutex::new(ScreenshotGallery::with_baseline(baseline)),
-        }
-    }
-
-    /// Records a trial screenshot; returns `true` if it was new (kept).
-    pub fn record(&self, shot: Screenshot) -> bool {
-        self.inner
-            .lock()
-            .expect("gallery lock poisoned")
-            .record(shot)
-    }
-
-    /// Number of unique screenshots recorded so far.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("gallery lock poisoned").len()
-    }
-
-    /// `true` if no unique screenshot has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Unwraps into the plain gallery once all recording threads are done.
-    pub fn into_gallery(self) -> ScreenshotGallery {
-        self.inner.into_inner().expect("gallery lock poisoned")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,30 +203,5 @@ mod tests {
     fn display_lists_elements() {
         let shot: Screenshot = ["b", "a"].into_iter().collect();
         assert_eq!(shot.to_string(), "[a, b]");
-    }
-
-    #[test]
-    fn sync_gallery_dedups_under_concurrent_recording() {
-        let baseline: Screenshot = ["window"].into_iter().collect();
-        let gallery = SyncGallery::with_baseline(baseline.clone());
-        // 8 threads race to record 4 distinct shots (plus baseline dups).
-        std::thread::scope(|scope| {
-            for worker in 0..8u64 {
-                let gallery = &gallery;
-                let baseline = baseline.clone();
-                scope.spawn(move || {
-                    for i in 0..4u64 {
-                        let shot: Screenshot =
-                            ["window".to_owned(), format!("panel:{}", (worker + i) % 4)]
-                                .into_iter()
-                                .collect();
-                        gallery.record(shot);
-                        gallery.record(baseline.clone());
-                    }
-                });
-            }
-        });
-        assert_eq!(gallery.len(), 4);
-        assert_eq!(gallery.into_gallery().screenshots().len(), 4);
     }
 }

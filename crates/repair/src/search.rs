@@ -1,9 +1,9 @@
 //! The rollback search: DFS/BFS over cluster version histories.
 
-use ocasta_ttkv::{Key, TimeDelta, Timestamp, Ttkv};
+use ocasta_ttkv::{ConfigState, Key, TimeDelta, Timestamp, Ttkv};
 
 use crate::history::{sorted_cluster_infos, ClusterInfo};
-use crate::screenshot::ScreenshotGallery;
+use crate::screenshot::{Screenshot, ScreenshotGallery};
 use crate::trial::{FixOracle, Trial};
 
 /// Order in which `(cluster, version)` pairs are tried (§III-B).
@@ -189,48 +189,105 @@ pub fn search(
         config.start_time,
         config.end_time,
     );
-    let base = ttkv.snapshot_latest();
-    let baseline_shot = trial.run(&base);
-    let mut gallery = ScreenshotGallery::with_baseline(baseline_shot);
-
-    let mut fix: Option<FixInfo> = None;
-    let mut trials_to_fix = None;
-    let mut screenshots_to_fix = 0;
-    let mut trials = 0usize;
-
+    // The live snapshot doubles as the one sandbox every trial patches and
+    // restores.
+    let mut sandbox = ttkv.snapshot_latest();
+    let mut tally = Tally::new(trial.run(&sandbox));
     for (rank, version) in plan(&infos, config.strategy) {
-        let info = &infos[rank];
-        trials += 1;
-        let sandbox = info.apply_rollback(ttkv, version, &base);
-        let shot = trial.run(&sandbox);
-        let fixed_now = oracle.is_fixed(&shot);
-        gallery.record(shot);
-        if fixed_now && fix.is_none() {
-            fix = Some(FixInfo {
-                cluster_rank: rank,
-                keys: info.keys.clone(),
-                version,
-            });
-            trials_to_fix = Some(trials);
-            screenshots_to_fix = gallery.len();
+        let (shot, fixed) = run_trial(ttkv, &infos[rank], version, &mut sandbox, trial, oracle);
+        tally.fold(&infos, rank, version, shot, fixed);
+    }
+    tally.finish(&infos, config)
+}
+
+/// One trial: patch the rollback into `sandbox`, render, judge, undo.
+pub(crate) fn run_trial(
+    ttkv: &Ttkv,
+    info: &ClusterInfo,
+    version: Timestamp,
+    sandbox: &mut ConfigState,
+    trial: &Trial,
+    oracle: &FixOracle,
+) -> (Screenshot, bool) {
+    info.with_rollback(ttkv, version, sandbox, |config| {
+        let shot = trial.run(config);
+        let fixed = oracle.is_fixed(&shot);
+        (shot, fixed)
+    })
+}
+
+/// The search's running state. Trials are folded strictly in plan order,
+/// which is what makes every counter — first fix, trials-to-fix, unique
+/// screenshots at the fix — independent of how the trials were executed.
+#[derive(Debug)]
+pub(crate) struct Tally {
+    gallery: ScreenshotGallery,
+    fix: Option<FixInfo>,
+    trials_to_fix: Option<usize>,
+    screenshots_to_fix: usize,
+    trials: usize,
+}
+
+impl Tally {
+    /// An empty tally whose gallery dedups against the erroneous baseline.
+    pub(crate) fn new(baseline: Screenshot) -> Self {
+        Tally {
+            gallery: ScreenshotGallery::with_baseline(baseline),
+            fix: None,
+            trials_to_fix: None,
+            screenshots_to_fix: 0,
+            trials: 0,
         }
     }
 
-    SearchOutcome {
-        trials_to_fix,
-        total_trials: trials,
-        screenshots_to_fix,
-        total_screenshots: gallery.len(),
-        time_to_fix: trials_to_fix.map(|n| config.trial_cost.scale(n as u64)),
-        total_time: config.trial_cost.scale(trials as u64),
-        clusters_searched: infos.iter().filter(|i| !i.versions.is_empty()).count(),
-        fix,
+    /// Trials folded so far.
+    pub(crate) fn trials(&self) -> usize {
+        self.trials
+    }
+
+    /// Folds the next trial of the plan: rolling back `infos[rank]` to
+    /// `version` rendered `shot`, which the oracle judged `fixed`.
+    pub(crate) fn fold(
+        &mut self,
+        infos: &[ClusterInfo],
+        rank: usize,
+        version: Timestamp,
+        shot: Screenshot,
+        fixed: bool,
+    ) {
+        self.trials += 1;
+        self.gallery.record(shot);
+        if fixed && self.fix.is_none() {
+            self.fix = Some(FixInfo {
+                cluster_rank: rank,
+                keys: infos[rank].keys.clone(),
+                version,
+            });
+            self.trials_to_fix = Some(self.trials);
+            self.screenshots_to_fix = self.gallery.len();
+        }
+    }
+
+    /// The outcome of the folded trials.
+    pub(crate) fn finish(self, infos: &[ClusterInfo], config: &SearchConfig) -> SearchOutcome {
+        SearchOutcome {
+            trials_to_fix: self.trials_to_fix,
+            total_trials: self.trials,
+            screenshots_to_fix: self.screenshots_to_fix,
+            total_screenshots: self.gallery.len(),
+            time_to_fix: self
+                .trials_to_fix
+                .map(|n| config.trial_cost.scale(n as u64)),
+            total_time: config.trial_cost.scale(self.trials as u64),
+            clusters_searched: infos.iter().filter(|i| !i.versions.is_empty()).count(),
+            fix: self.fix,
+        }
     }
 }
 
 /// The `(cluster rank, version timestamp)` visit order for a strategy.
 /// Shared with the parallel search, which executes exactly this order
-/// (concurrently within waves, merged back in order).
+/// (concurrently, folded back in order).
 pub(crate) fn plan(infos: &[ClusterInfo], strategy: SearchStrategy) -> Vec<(usize, Timestamp)> {
     let mut out = Vec::new();
     match strategy {
@@ -259,7 +316,6 @@ pub(crate) fn plan(infos: &[ClusterInfo], strategy: SearchStrategy) -> Vec<(usiz
 mod tests {
     use super::*;
     use crate::history::singleton_clusters;
-    use crate::screenshot::Screenshot;
     use ocasta_ttkv::Value;
 
     fn ts(s: u64) -> Timestamp {

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use ocasta_repair::{
-    parallel_search, search, singleton_clusters, sorted_cluster_infos, FixOracle, Screenshot,
-    SearchConfig, SearchStrategy, Trial,
+    parallel_search, search, singleton_clusters, sorted_cluster_infos, FixInfo, FixOracle,
+    Screenshot, ScreenshotGallery, SearchConfig, SearchOutcome, SearchStrategy, Trial,
 };
 use ocasta_ttkv::{Key, TimeDelta, Timestamp, Ttkv, Value};
 
@@ -53,7 +53,141 @@ fn build_clusters(assignment: &[u8]) -> Vec<Vec<Key>> {
     clusters
 }
 
+/// A random history with deletes over a small key and value space: each
+/// entry is (key, time s, value), and `None` deletes the key. Few distinct
+/// values make duplicate screenshots common.
+fn history_with_deletes() -> impl Strategy<Value = Vec<(u8, u64, Option<i64>)>> {
+    let entry = (0u8..6, 0u64..50_000, prop::bool::weighted(0.75), 0i64..4)
+        .prop_map(|(k, t, write, v)| (k, t, write.then_some(v)));
+    prop::collection::vec(entry, 1..60)
+}
+
+fn build_store_with_deletes(entries: &[(u8, u64, Option<i64>)]) -> Ttkv {
+    let mut ttkv = Ttkv::new();
+    for &(k, t, v) in entries {
+        let (at, key) = (Timestamp::from_secs(t), Key::new(format!("app/k{k}")));
+        match v {
+            Some(v) => ttkv.write(at, key, Value::from(v)),
+            None => ttkv.delete(at, key),
+        }
+    }
+    ttkv
+}
+
+/// A trial that shows every key's value, so a sandbox the undo failed to
+/// restore shows up in the next trial's screenshot.
+fn all_keys_trial() -> Trial {
+    Trial::new("probe all", |config| {
+        config
+            .iter()
+            .map(|(k, v)| format!("{k}={v:?}"))
+            .collect::<Screenshot>()
+    })
+}
+
+/// The clone-per-trial reference search: the plan rebuilt independently,
+/// and every trial renders a fresh copy of the base with the rollback
+/// patch applied — trial isolation in its most literal form.
+fn reference_search(
+    ttkv: &Ttkv,
+    clusters: &[Vec<Key>],
+    trial: &Trial,
+    oracle: &FixOracle,
+    config: &SearchConfig,
+) -> SearchOutcome {
+    let infos = sorted_cluster_infos(
+        ttkv,
+        clusters,
+        config.window,
+        config.start_time,
+        config.end_time,
+    );
+    let mut plan = Vec::new();
+    match config.strategy {
+        SearchStrategy::Dfs => {
+            for (rank, info) in infos.iter().enumerate() {
+                plan.extend(info.versions.iter().map(|&v| (rank, v)));
+            }
+        }
+        SearchStrategy::Bfs => {
+            let depth = infos.iter().map(|i| i.versions.len()).max().unwrap_or(0);
+            for d in 0..depth {
+                for (rank, info) in infos.iter().enumerate() {
+                    plan.extend(info.versions.get(d).map(|&v| (rank, v)));
+                }
+            }
+        }
+    }
+
+    let base = ttkv.snapshot_latest();
+    let mut gallery = ScreenshotGallery::with_baseline(trial.run(&base));
+    let (mut fix, mut trials_to_fix, mut screenshots_to_fix) = (None, None, 0);
+    for (n, &(rank, version)) in plan.iter().enumerate() {
+        let mut sandbox = base.clone();
+        for (key, value) in infos[rank].rollback_patch(ttkv, version) {
+            match value {
+                Some(v) => {
+                    sandbox.set(key, v);
+                }
+                None => {
+                    sandbox.remove(key.as_str());
+                }
+            }
+        }
+        let shot = trial.run(&sandbox);
+        let fixed = oracle.is_fixed(&shot);
+        gallery.record(shot);
+        if fixed && fix.is_none() {
+            fix = Some(FixInfo {
+                cluster_rank: rank,
+                keys: infos[rank].keys.clone(),
+                version,
+            });
+            trials_to_fix = Some(n + 1);
+            screenshots_to_fix = gallery.len();
+        }
+    }
+    SearchOutcome {
+        fix,
+        trials_to_fix,
+        total_trials: plan.len(),
+        screenshots_to_fix,
+        total_screenshots: gallery.len(),
+        time_to_fix: trials_to_fix.map(|n| config.trial_cost.scale(n as u64)),
+        total_time: config.trial_cost.scale(plan.len() as u64),
+        clusters_searched: infos.iter().filter(|i| !i.versions.is_empty()).count(),
+    }
+}
+
 proptest! {
+    /// The copy-free search equals the clone-per-trial reference field for
+    /// field: patching one sandbox in place and undoing the patch after
+    /// every trial is indistinguishable from rendering a fresh copy. Deletes
+    /// make rollbacks remove keys the undo must re-insert (and re-create
+    /// keys it must remove again).
+    #[test]
+    fn search_equals_clone_per_trial_reference(
+        entries in history_with_deletes(),
+        assignment in clustering(),
+        bfs in any::<bool>(),
+        bounded in any::<bool>(),
+        start in 0u64..50_000,
+        target in 0i64..4,
+    ) {
+        let ttkv = build_store_with_deletes(&entries);
+        let clusters = build_clusters(&assignment);
+        let fixed_shows = format!("app/k0={:?}", Value::from(target));
+        let oracle = FixOracle::new(move |shot: &Screenshot| shot.contains(&fixed_shows));
+        let config = SearchConfig {
+            strategy: if bfs { SearchStrategy::Bfs } else { SearchStrategy::Dfs },
+            start_time: bounded.then(|| Timestamp::from_secs(start)),
+            ..SearchConfig::default()
+        };
+        let trial = all_keys_trial();
+        let reference = reference_search(&ttkv, &clusters, &trial, &oracle, &config);
+        prop_assert_eq!(search(&ttkv, &clusters, &trial, &oracle, &config), reference);
+    }
+
     /// The tentpole invariant: the parallel rollback search returns the
     /// same outcome as the sequential search — same fix, same trial count,
     /// same screenshot counts (to the fix and total), same modeled times —

@@ -7,9 +7,11 @@ use crate::Key;
 
 /// A flat, point-in-time view of an application's live configuration.
 ///
-/// This is what the repair tool's sandbox operates on: a copy of the live
-/// key → value map that cluster rollbacks are applied to before running a
-/// trial, so that trial executions "leave no persistent changes" (§III-B).
+/// This is what the repair tool's sandbox operates on: each trial executor
+/// holds one copy of the live key → value map, patches a cluster rollback
+/// into it in place, runs the trial, and restores the previous values that
+/// [`ConfigState::set`] and [`ConfigState::remove`] returned, so that trial
+/// executions "leave no persistent changes" (§III-B).
 ///
 /// # Examples
 ///

@@ -882,7 +882,11 @@ fn run_engine_scenario(
                 ingest_threads: 2,
                 batch_size: 64,
                 precision: PRECISION,
-                placement: KeyPlacement::Merged,
+                // Per-machine keyspace: with merged keys the two workers
+                // race to apply two machines' same-timestamp writes to one
+                // key, an order the sequential reference cannot predict
+                // (failing_seeds/006).
+                placement: KeyPlacement::PerMachine,
                 retention: Some(RetentionPolicy::keep_days(2)),
                 seal_threshold: 256,
             },

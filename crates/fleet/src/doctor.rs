@@ -603,7 +603,7 @@ fn check_layer(dir: &Path, name: &str, horizon: Option<Timestamp>, report: &mut 
             detail: "text v1 layer; rewritten as binary v2 by the next compaction".to_string(),
         });
     }
-    let store = match Ttkv::load(bytes.as_slice()) {
+    let store = match Ttkv::load_from_bytes(&bytes) {
         Ok(store) => store,
         Err(e) => {
             report.findings.push(Finding {

@@ -38,6 +38,22 @@
 //! layering existed (a bare `snapshot.ttkv` + `wal.log`) still open and
 //! replay unchanged.
 //!
+//! ## The append buffer
+//!
+//! A compaction does not read back what the same handle just wrote. Once a
+//! [`Wal`] has compacted, [`Wal::append`] also copies every op it frames
+//! into an in-memory [`TtkvBuilder`] — keys are shared `Arc<str>`s and
+//! read counters coalesce per key — and every compaction builds its delta
+//! from that buffer, quantising the buffered timestamps to its precision
+//! first ([`TtkvBuilder::apply_precision`]). The log is read from disk only
+//! by [`Wal::replay`], by the torn-tail scan when a writer opens, and to
+//! seed the buffer: on a handle's first compaction, and on the first one
+//! after an append or compaction failed (a failure drops the buffer; the
+//! log still holds every frame). Memory is bounded by the log itself: the
+//! buffer holds exactly the current log's ops, a committed compaction
+//! empties it along with the log, and a handle that never compacts
+//! buffers nothing.
+//!
 //! Base and delta layers are `ocasta-ttkv binary v2` segments — the same
 //! length-prefixed, FNV-checksummed framing discipline as the log, one
 //! codec seam for everything the fleet persists. Text v1 layers from older
@@ -55,6 +71,10 @@ use crate::hash::fnv1a_32 as fnv1a;
 
 /// File magic for WAL streams.
 pub const WAL_MAGIC: &[u8; 7] = b"OCWAL1\n";
+
+/// Most bytes a reader reserves for a frame payload before reading it;
+/// longer payloads grow with the bytes that actually arrive.
+const PAYLOAD_PREALLOC: usize = 1 << 20;
 
 /// Errors arising from WAL I/O, framing or decoding.
 #[derive(Debug)]
@@ -224,8 +244,14 @@ impl<R: Read> WalReader<R> {
         let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
         let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         let checksum = u32::from_le_bytes([c0, c1, c2, c3]);
-        let mut payload = vec![0u8; len];
-        if read_chunk(&mut self.source, &mut payload)? != ReadStatus::Full {
+        // The header is not checksummed, so `len` is untrusted: allocate for
+        // the bytes actually read, never for what a torn or corrupt header
+        // claims. A short payload is a torn tail.
+        let mut payload = Vec::with_capacity(len.min(PAYLOAD_PREALLOC));
+        (&mut self.source)
+            .take(len as u64)
+            .read_to_end(&mut payload)?;
+        if payload.len() < len {
             self.torn_tail = true;
             return Ok(None);
         }
@@ -384,6 +410,12 @@ pub struct Wal {
     writer: Option<WalWriter<BufWriter<File>>>,
     manifest: Manifest,
     rebase_layers: usize,
+    /// The current log's ops, in append order at full precision: what
+    /// every compaction folds instead of reading the log back. `None`
+    /// until this handle first compacts (that compaction reads the log),
+    /// and again after an append or compaction fails, so the next
+    /// compaction re-reads the log, which still holds every frame.
+    buffer: Option<TtkvBuilder>,
 }
 
 /// Magic first line of `wal.manifest` (shared with the offline doctor,
@@ -534,6 +566,7 @@ impl Wal {
             writer: None,
             manifest,
             rebase_layers: DEFAULT_REBASE_LAYERS,
+            buffer: None,
         };
         wal.sweep_orphans();
         Ok(wal)
@@ -672,13 +705,24 @@ impl Wal {
         })
     }
 
-    /// Appends one batch as a frame.
+    /// Appends one batch as a frame, and copies its ops into the buffer
+    /// the next compaction folds (once this handle has compacted).
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn append(&mut self, batch: &[TraceOp]) -> Result<(), WalError> {
-        self.writer()?.append(batch)
+        if let Err(e) = self.writer()?.append(batch) {
+            // Part of the frame may be in the log: only the log knows.
+            self.buffer = None;
+            return Err(e);
+        }
+        if let Some(buffer) = self.buffer.as_mut() {
+            for op in batch {
+                op.clone().buffer(buffer);
+            }
+        }
+        Ok(())
     }
 
     /// Flushes buffered frames to the file.
@@ -693,10 +737,10 @@ impl Wal {
         Ok(())
     }
 
-    /// Loads one committed snapshot layer.
+    /// Loads one committed snapshot layer with one exact-size read.
     fn load_layer(&self, name: &str) -> Result<Ttkv, WalError> {
-        let file = File::open(self.dir.join(name))?;
-        Ttkv::load(BufReader::new(file)).map_err(|e| WalError::Snapshot(e.to_string()))
+        let bytes = std::fs::read(self.dir.join(name))?;
+        Ttkv::load_from_bytes(&bytes).map_err(|e| WalError::Snapshot(e.to_string()))
     }
 
     /// Folds the committed snapshot layers (everything but the current
@@ -711,12 +755,9 @@ impl Wal {
     /// arrival order ([`Ttkv::demote_baselines`], `DESIGN.md §5.10`).
     fn fold_layers(&self) -> Result<Ttkv, WalError> {
         if !self.manifest.committed {
-            return match File::open(self.snapshot_path()) {
-                Ok(file) => {
-                    Ttkv::load(BufReader::new(file)).map_err(|e| WalError::Snapshot(e.to_string()))
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Ttkv::new()),
-                Err(e) => Err(e.into()),
+            return match self.load_layer("snapshot.ttkv") {
+                Err(WalError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(Ttkv::new()),
+                loaded => loaded,
             };
         }
         let Some(horizon) = self.manifest.horizon else {
@@ -763,16 +804,25 @@ impl Wal {
         Ok(store)
     }
 
-    /// Reads the current log's ops (the delta since the last compaction),
-    /// quantised to `precision`.
-    fn read_log_ops(&mut self, precision: TimePrecision) -> Result<Vec<TraceOp>, WalError> {
+    /// Flushes the log and takes its ops (the delta since the last
+    /// compaction) at full precision for a compaction: the buffer, or, if
+    /// this handle has none, the log read back from disk. The compaction
+    /// either commits, which starts an empty buffer for the fresh log, or
+    /// puts the ops back untouched; on an error the buffer stays `None`.
+    fn take_log_ops(&mut self) -> Result<TtkvBuilder, WalError> {
+        let buffer = self.buffer.take();
         self.flush()?;
-        let mut ops = Vec::new();
+        if let Some(buffer) = buffer {
+            return Ok(buffer);
+        }
+        let mut ops = TtkvBuilder::new();
         match File::open(self.log_path()) {
             Ok(file) => {
                 let mut reader = WalReader::new(BufReader::new(file))?;
                 while let Some(batch) = reader.next_batch()? {
-                    ops.extend(batch.into_iter().map(|op| quantized(op, precision)));
+                    for op in batch {
+                        op.buffer(&mut ops);
+                    }
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -801,6 +851,9 @@ impl Wal {
             let _ = dir.sync_all();
         }
         self.writer = None;
+        // The manifest's log holds no ops yet: either a fresh epoch, or the
+        // same log when the compaction found it empty.
+        self.buffer = Some(TtkvBuilder::new());
         self.manifest = manifest;
         self.sweep_orphans();
         Ok(())
@@ -827,9 +880,12 @@ impl Wal {
         Ok(())
     }
 
-    /// Compacts the WAL completely: folds every layer and the log into one
-    /// fresh base snapshot (an O(retained state) *rebase*). Returns the
-    /// compacted state.
+    /// Compacts the WAL completely: folds every layer and the log's ops
+    /// into one fresh base snapshot (an O(retained state) *rebase*).
+    /// Returns the compacted state.
+    ///
+    /// The log's ops come from the append buffer, or from the log on disk
+    /// on this handle's first compaction (see the module docs).
     ///
     /// This is the unpruned, full-rewrite path; long-running retention
     /// deployments use [`Wal::compact_pruned`], which costs O(delta)
@@ -839,7 +895,10 @@ impl Wal {
     ///
     /// Same conditions as [`Wal::replay`] plus snapshot write failures.
     pub fn compact(&mut self, precision: TimePrecision) -> Result<Ttkv, WalError> {
-        let mut store = self.replay(precision)?;
+        let mut ops = self.take_log_ops()?;
+        let mut store = self.fold_layers()?;
+        ops.apply_precision(precision);
+        ops.build_into(&mut store);
         // The recorded horizon is a floor that must survive every later
         // compaction: dropping it here would let a later shallower
         // `compact_pruned` demote this base's baselines without
@@ -864,12 +923,15 @@ impl Wal {
     }
 
     /// Compacts the WAL incrementally, **pruned to `horizon`**: folds only
-    /// the frames appended since the previous compaction into a delta
+    /// the ops appended since the previous compaction into a delta
     /// snapshot (baselines + counters for the keys they touched, pruned to
     /// the horizon), commits it as a new layer, and starts a fresh log
-    /// epoch — O(delta), not O(retained state), which is what keeps the
-    /// WAL lane's compaction stall proportional to what the sweep
-    /// reclaimed (`DESIGN.md §5.10`). Replay after this equals the old
+    /// epoch. The ops come from the append buffer, never re-read from the
+    /// log once this handle has compacted, and the buffer never outgrows
+    /// the log it mirrors (see the module docs). The cost is O(delta), not
+    /// O(retained state), which is what keeps the WAL lane's compaction
+    /// stall proportional to what the sweep reclaimed
+    /// (`DESIGN.md §5.10`). Replay after this equals the old
     /// replay-everything-and-prune path on every query (equivalence
     /// property-tested), and the disk footprint stays bounded by the
     /// retention window: once [`Wal::set_rebase_layers`] deltas pile up,
@@ -918,13 +980,14 @@ impl Wal {
         horizon: Timestamp,
         force_rebase: bool,
     ) -> Result<PruneStats, WalError> {
-        let ops = self.read_log_ops(precision)?;
+        let mut ops = self.take_log_ops()?;
         let prior = self.manifest.horizon.unwrap_or(Timestamp::EPOCH);
         let rebase = force_rebase || self.manifest.deltas.len() + 1 > self.rebase_layers;
         if ops.is_empty() && horizon <= prior && self.manifest.committed {
             // Nothing to reclaim: a complete no-op on persisted bytes —
             // unless this is a forced rebase with a chain left to fold.
             if !force_rebase || self.manifest.deltas.is_empty() {
+                self.buffer = Some(ops);
                 return Ok(PruneStats::default());
             }
         }
@@ -949,11 +1012,8 @@ impl Wal {
             .max(prior)
             .max(legacy_floor.unwrap_or(Timestamp::EPOCH));
 
-        let mut delta = TtkvBuilder::new();
-        for op in ops {
-            op.buffer(&mut delta);
-        }
-        let mut delta = delta.build();
+        ops.apply_precision(precision);
+        let mut delta = ops.build();
         let stats = delta.prune_before(horizon);
 
         let mut manifest = self.manifest.clone();
@@ -1537,6 +1597,249 @@ mod tests {
             assert_eq!(store.stats().writes, 2);
             assert_eq!(store.stats().deletes, 1);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `count` ops from `first` on: writes to three keys at millisecond
+    /// timestamps that descend within each second (so second precision
+    /// creates ties whose order only arrival decides), a delete every
+    /// seventh op and reads every fifth.
+    fn ops_from(first: u64, count: u64) -> Vec<TraceOp> {
+        (first..first + count)
+            .map(|i| {
+                let t = Timestamp::from_millis(i / 4 * 1_000 + 900 - (i % 4) * 200);
+                let key = format!("app/k{}", i % 3);
+                if i % 5 == 0 {
+                    TraceOp::Reads(ocasta_ttkv::Key::new(key), i)
+                } else if i % 7 == 0 {
+                    TraceOp::Mutation(AccessEvent::delete(t, key))
+                } else {
+                    TraceOp::Mutation(AccessEvent::write(t, key, Value::from(i as i64)))
+                }
+            })
+            .collect()
+    }
+
+    /// The rebuild reference: every op applied in order, pruned once.
+    fn rebuilt(ops: &[TraceOp], precision: TimePrecision, horizon: Timestamp) -> Ttkv {
+        let mut store = Ttkv::new();
+        for op in ops {
+            op.clone().apply(&mut store, precision);
+        }
+        store.prune_before(horizon);
+        store
+    }
+
+    #[test]
+    fn buffering_starts_at_a_handles_first_compaction() {
+        let dir = std::env::temp_dir().join(format!("ocasta-wal-nobuf-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut wal = Wal::open(&dir).unwrap();
+        wal.append(&ops_from(0, 40)).unwrap();
+        wal.replay(TimePrecision::Milliseconds).unwrap();
+        wal.append(&ops_from(40, 40)).unwrap();
+        assert!(wal.buffer.is_none());
+        // The first compaction starts the buffer; appends then fill it.
+        wal.compact_pruned(TimePrecision::Milliseconds, Timestamp::EPOCH)
+            .unwrap();
+        assert!(wal.buffer.as_ref().is_some_and(TtkvBuilder::is_empty));
+        // A no-op compaction keeps it.
+        wal.compact_pruned(TimePrecision::Milliseconds, Timestamp::EPOCH)
+            .unwrap();
+        assert!(wal.buffer.is_some());
+        wal.append(&ops_from(81, 3)).unwrap();
+        assert_eq!(wal.buffer.as_ref().map(TtkvBuilder::len), Some(3));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopened_log_seeds_the_buffer_and_compacts_exactly() {
+        // A handle reopened over a log with frames has no buffer: its first
+        // compaction reads the log, later ones fold the buffer.
+        let dir = std::env::temp_dir().join(format!("ocasta-wal-seed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let precision = TimePrecision::Seconds;
+        let ops = ops_from(0, 240);
+        {
+            let mut wal = Wal::open(&dir).unwrap();
+            wal.append(&ops[..60]).unwrap();
+            wal.compact_pruned(precision, Timestamp::from_secs(5))
+                .unwrap();
+            wal.append(&ops[60..100]).unwrap();
+            wal.flush().unwrap();
+        }
+        let mut wal = Wal::open(&dir).unwrap();
+        wal.append(&ops[100..140]).unwrap();
+        let horizon = Timestamp::from_secs(20);
+        wal.compact_pruned(precision, horizon).unwrap();
+        assert_eq!(
+            wal.replay(precision).unwrap(),
+            rebuilt(&ops[..140], precision, horizon)
+        );
+        wal.append(&ops[140..200]).unwrap();
+        let horizon = Timestamp::from_secs(40);
+        wal.compact_pruned(precision, horizon).unwrap();
+        assert_eq!(
+            wal.replay(precision).unwrap(),
+            rebuilt(&ops[..200], precision, horizon)
+        );
+        wal.append(&ops[200..]).unwrap();
+        let compacted = wal.compact(precision).unwrap();
+        let reference = rebuilt(&ops, precision, horizon);
+        assert_eq!(compacted, reference);
+        assert_eq!(wal.replay(precision).unwrap(), reference);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_compaction_drops_the_buffer_and_the_retry_loses_nothing() {
+        // A directory squatting on the file a compaction must create makes
+        // it fail before its manifest commit. Ops appended after the
+        // failure reach only the log; the retry must read them back.
+        type Compaction = fn(&mut Wal, Timestamp) -> Result<(), WalError>;
+        let pruned: Compaction = |wal, h| wal.compact_pruned(TimePrecision::Seconds, h).map(drop);
+        let rebased: Compaction = |wal, h| {
+            wal.compact_pruned_rebased(TimePrecision::Seconds, h)
+                .map(drop)
+        };
+        let full: Compaction = |wal, _| wal.compact(TimePrecision::Seconds).map(drop);
+        let cases: [(&str, &str, Compaction); 4] = [
+            ("delta", "delta-{}.ttkv", pruned),
+            ("manifest", "wal.manifest.tmp", pruned),
+            ("rebase", "base-{}.ttkv", rebased),
+            ("full", "base-{}.ttkv", full),
+        ];
+        for (case, squat, compaction) in cases {
+            let dir = std::env::temp_dir()
+                .join(format!("ocasta-wal-squat-{case}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let precision = TimePrecision::Seconds;
+            let ops = ops_from(0, 160);
+            let mut wal = Wal::open(&dir).unwrap();
+            wal.append(&ops[..40]).unwrap();
+            let horizon = Timestamp::from_secs(4);
+            wal.compact_pruned(precision, horizon).unwrap();
+            wal.append(&ops[40..80]).unwrap();
+
+            let squatter = dir.join(squat.replace("{}", &(wal.manifest.epoch + 1).to_string()));
+            std::fs::create_dir(&squatter).unwrap();
+            let manifest = std::fs::read(dir.join("wal.manifest")).unwrap();
+            assert!(compaction(&mut wal, horizon).is_err(), "{case}");
+            assert!(wal.buffer.is_none(), "{case}: a failure drops the buffer");
+            assert_eq!(
+                std::fs::read(dir.join("wal.manifest")).unwrap(),
+                manifest,
+                "{case}: nothing committed"
+            );
+            wal.append(&ops[80..120]).unwrap();
+            std::fs::remove_dir(&squatter).unwrap();
+            compaction(&mut wal, horizon).unwrap();
+            wal.append(&ops[120..]).unwrap();
+            assert_eq!(
+                wal.replay(precision).unwrap(),
+                rebuilt(&ops, precision, horizon),
+                "{case}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn second_precision_deltas_equal_the_read_the_log_path() {
+        // Millisecond appends, compacted at second precision from the
+        // buffer, must write the delta layer the log read back and
+        // quantised op by op would have written.
+        let dir = std::env::temp_dir().join(format!("ocasta-wal-precision-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let precision = TimePrecision::Seconds;
+        let ops = ops_from(0, 200);
+        let mut wal = Wal::open(&dir).unwrap();
+        wal.set_rebase_layers(usize::MAX);
+        for (round, chunk) in ops.chunks(50).enumerate() {
+            wal.append(&chunk[..25]).unwrap();
+            wal.append(&chunk[25..]).unwrap();
+            wal.flush().unwrap();
+            let horizon = Timestamp::from_secs(round as u64 * 10);
+            let mut expected = TtkvBuilder::new();
+            let mut log =
+                WalReader::new(BufReader::new(File::open(wal.log_path()).unwrap())).unwrap();
+            while let Some(batch) = log.next_batch().unwrap() {
+                for op in batch {
+                    quantized(op, precision).buffer(&mut expected);
+                }
+            }
+            let mut expected = expected.build();
+            expected.prune_before(horizon);
+
+            wal.compact_pruned(precision, horizon).unwrap();
+            let (layer, _) = wal.manifest.deltas.last().unwrap();
+            assert_eq!(wal.load_layer(layer).unwrap(), expected, "round {round}");
+        }
+        assert_eq!(
+            wal.replay(precision).unwrap(),
+            rebuilt(&ops, precision, Timestamp::from_secs(30))
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_oversized_frame_header_reads_as_a_torn_tail() {
+        // The header is not checksummed: one claiming u32::MAX bytes with
+        // 3 bytes behind it is a torn tail, found without allocating what
+        // it claims.
+        /// Records the largest read it is asked to fill.
+        struct Largest<'a> {
+            bytes: &'a [u8],
+            largest: usize,
+        }
+        impl Read for Largest<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.bytes.read(buf)
+            }
+        }
+        let mut bytes = Vec::new();
+        WalWriter::new(&mut bytes)
+            .unwrap()
+            .append(&sample_ops())
+            .unwrap();
+        let clean = bytes.len() as u64;
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&[1, 2, 3]);
+        let mut source = Largest {
+            bytes: &bytes,
+            largest: 0,
+        };
+        let mut reader = WalReader::new(&mut source).unwrap();
+        assert_eq!(reader.read_all().unwrap(), sample_ops());
+        assert!(reader.torn_tail());
+        assert_eq!(reader.clean_bytes(), clean);
+        assert!(
+            source.largest <= PAYLOAD_PREALLOC,
+            "read into a {}-byte buffer",
+            source.largest
+        );
+
+        // Reopening truncates it like any torn tail, then appends after.
+        let dir = std::env::temp_dir().join(format!("ocasta-wal-huge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+        let mut wal = Wal::open(&dir).unwrap();
+        let extra = TraceOp::Mutation(AccessEvent::write(
+            Timestamp::from_millis(9_999),
+            "app/c",
+            Value::from(true),
+        ));
+        wal.append(std::slice::from_ref(&extra)).unwrap();
+        wal.flush().unwrap();
+        let mut reader =
+            WalReader::new(BufReader::new(File::open(dir.join("wal.log")).unwrap())).unwrap();
+        let mut expected = sample_ops();
+        expected.push(extra);
+        assert_eq!(reader.read_all().unwrap(), expected);
+        assert!(!reader.torn_tail(), "torn bytes must be gone");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

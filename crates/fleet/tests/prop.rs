@@ -1,9 +1,12 @@
 //! Property tests for the fleet WAL: encode → decode → replay reproduces
-//! the exact TTKV state, under arbitrary op sequences and batch splits.
+//! the exact TTKV state, under arbitrary op sequences and batch splits,
+//! and compactions folded from the append buffer equal the rebuild path.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use ocasta_fleet::{WalReader, WalWriter};
+use ocasta_fleet::{Wal, WalReader, WalWriter};
 use ocasta_trace::{AccessEvent, TraceOp};
 use ocasta_ttkv::{Key, TimePrecision, Timestamp, Ttkv, Value};
 
@@ -113,5 +116,55 @@ proptest! {
         // The survivors are exactly the first `frames` whole batches.
         let expected: Vec<TraceOp> = ops.chunks(batch).take(frames).flatten().cloned().collect();
         prop_assert_eq!(surviving, expected);
+    }
+
+    /// Pruned compactions equal replaying every op and pruning once at the
+    /// newest horizon, whether each delta comes from the append buffer or,
+    /// after a reopen, from the log read back — at both precisions and
+    /// through chain rebases.
+    #[test]
+    fn buffered_compactions_equal_the_rebuild_path(
+        ops in prop::collection::vec(op(), 1..120),
+        batch in 1usize..17,
+        rounds in prop::collection::vec((0u64..1_000_000, any::<bool>()), 1..6),
+        seconds in any::<bool>(),
+        rebase_layers in 1usize..4,
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ocasta-prop-wal-buffer-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let precision = if seconds { TimePrecision::Seconds } else { TimePrecision::Milliseconds };
+        let mut wal = Wal::open(&dir).unwrap();
+        wal.set_rebase_layers(rebase_layers);
+        let per_round = ops.len().div_ceil(rounds.len());
+        let mut newest = Timestamp::EPOCH;
+        for (chunk, &(horizon_ms, reopen)) in ops.chunks(per_round).zip(&rounds) {
+            let (before, after) = chunk.split_at(chunk.len() / 2);
+            for frame in before.chunks(batch) {
+                wal.append(frame).unwrap();
+            }
+            if reopen {
+                // The reopened handle has no buffer: its next compaction
+                // reads the log, frames appended after the reopen included.
+                drop(wal);
+                wal = Wal::open(&dir).unwrap();
+                wal.set_rebase_layers(rebase_layers);
+            }
+            for frame in after.chunks(batch) {
+                wal.append(frame).unwrap();
+            }
+            let horizon = Timestamp::from_millis(horizon_ms);
+            newest = newest.max(horizon);
+            wal.compact_pruned(precision, horizon).unwrap();
+        }
+        let mut expected = direct_store(&ops, precision);
+        expected.prune_before(newest);
+        let replayed = wal.replay(precision).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(replayed, expected);
     }
 }

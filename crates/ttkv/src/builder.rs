@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::record::Version;
 use crate::stats::PruneStats;
 use crate::store::Ttkv;
-use crate::time::Timestamp;
+use crate::time::{TimePrecision, Timestamp};
 use crate::value::Value;
 use crate::Key;
 
@@ -132,6 +132,24 @@ impl TtkvBuilder {
     /// Buffers `count` read accesses to `key`.
     pub fn add_reads(&mut self, key: impl Into<Key>, count: u64) {
         *self.reads.entry(key.into()).or_insert(0) += count;
+    }
+
+    /// Applies `precision` to every buffered tail mutation's timestamp, so
+    /// that a later [`TtkvBuilder::build`] equals buffering the same
+    /// accesses with their timestamps already quantised.
+    ///
+    /// Exact because the tail keeps arrival order and the stable timestamp
+    /// sort runs only at build time: a tie the quantisation creates ranks
+    /// by arrival either way. The fleet WAL buffers its log's ops at full
+    /// precision and quantises once per compaction. The base store is
+    /// already built and is left as it is.
+    pub fn apply_precision(&mut self, precision: TimePrecision) {
+        let mut tail_max = None;
+        for (_, version) in &mut self.mutations {
+            version.timestamp = precision.apply(version.timestamp);
+            tail_max = tail_max.max(Some(version.timestamp));
+        }
+        self.max_time = tail_max.max(self.base.last_mutation_time());
     }
 
     /// Number of buffered tail mutations (the base store's history is

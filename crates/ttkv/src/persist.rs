@@ -33,7 +33,7 @@
 //! counters are derived from the history lines, which is exact for
 //! unpruned stores).
 
-use std::io::{self, BufRead, Write};
+use std::io::{BufRead, Write};
 
 use crate::codec::{decode_value, encode_value, escape, unescape};
 use crate::error::TtkvError;
@@ -227,13 +227,13 @@ impl Ttkv {
     }
 
     /// Reads a store from an in-memory string (text v1; binary v2 segments
-    /// are not valid UTF-8 and arrive as bytes via [`Ttkv::load`]).
+    /// are not valid UTF-8 and arrive via [`Ttkv::load_from_bytes`]).
     ///
     /// # Errors
     ///
     /// Same conditions as [`Ttkv::load`].
     pub fn load_from_str(data: &str) -> Result<Ttkv, TtkvError> {
-        Ttkv::load(io::Cursor::new(data.as_bytes()))
+        Ttkv::load_from_bytes(data.as_bytes())
     }
 }
 

@@ -235,10 +235,21 @@ impl Ttkv {
     pub fn load<R: BufRead>(mut reader: R) -> Result<Ttkv, TtkvError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;
+        Ttkv::load_from_bytes(&bytes)
+    }
+
+    /// Decodes a store from bytes already in memory (for example a whole
+    /// file from [`std::fs::read`]), sniffing the version like
+    /// [`Ttkv::load`] but without copying the input.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Ttkv::load`], minus reader failures.
+    pub fn load_from_bytes(bytes: &[u8]) -> Result<Ttkv, TtkvError> {
         if bytes.starts_with(BINARY_MAGIC) {
-            decode_segment(&bytes)
+            decode_segment(bytes)
         } else {
-            Ttkv::load_text(std::io::Cursor::new(bytes))
+            Ttkv::load_text(bytes)
         }
     }
 }

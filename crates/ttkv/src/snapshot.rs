@@ -97,14 +97,6 @@ impl ConfigState {
         self.values.keys().filter(move |k| k.starts_with(prefix))
     }
 
-    /// Applies `other`'s entries on top of this state (used to apply a
-    /// cluster-version rollback patch).
-    pub fn apply(&mut self, other: &ConfigState) {
-        for (k, v) in other.iter() {
-            self.values.insert(k.clone(), v.clone());
-        }
-    }
-
     /// The set of keys on which `self` and `other` disagree (present in one
     /// but not the other, or present in both with different values).
     pub fn diff_keys(&self, other: &ConfigState) -> Vec<Key> {
@@ -171,20 +163,6 @@ mod tests {
         assert_eq!(s.set(Key::new("k"), Value::from(1)), None);
         assert_eq!(s.set(Key::new("k"), Value::from(2)), Some(Value::from(1)));
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn apply_overlays_patch() {
-        let mut base: ConfigState = vec![
-            (Key::new("a"), Value::from(1)),
-            (Key::new("b"), Value::from(2)),
-        ]
-        .into_iter()
-        .collect();
-        let patch: ConfigState = vec![(Key::new("b"), Value::from(20))].into_iter().collect();
-        base.apply(&patch);
-        assert_eq!(base.get_int("a"), Some(1));
-        assert_eq!(base.get_int("b"), Some(20));
     }
 
     #[test]

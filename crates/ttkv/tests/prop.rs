@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use ocasta_ttkv::{Key, Timestamp, Ttkv, TtkvBuilder, Value};
+use ocasta_ttkv::{Key, TimePrecision, Timestamp, Ttkv, TtkvBuilder, Value};
 
 /// Strategy for scalar values.
 fn scalar() -> impl Strategy<Value = Value> {
@@ -367,6 +367,40 @@ proptest! {
         tail.build_into(&mut direct);
         direct.prune_before(h2);
         prop_assert_eq!(incremental, direct);
+    }
+
+    /// Quantising a builder's buffered tail in place equals buffering the
+    /// already-quantised accesses: same store, same `last_time`, with the
+    /// ties quantisation creates ranked by arrival, over a pre-built base
+    /// the quantisation leaves alone.
+    #[test]
+    fn apply_precision_equals_buffering_quantised_accesses(
+        base in prop::collection::vec(op(), 0..20),
+        tail in prop::collection::vec(op(), 0..60),
+    ) {
+        let buffer = |builder: &mut TtkvBuilder, precision: TimePrecision| {
+            for o in &tail {
+                match o {
+                    Op::Write(k, t, v) => builder.write(
+                        precision.apply(Timestamp::from_millis(*t)),
+                        Key::new(key_name(*k)),
+                        v.clone(),
+                    ),
+                    Op::Delete(k, t) => builder.delete(
+                        precision.apply(Timestamp::from_millis(*t)),
+                        Key::new(key_name(*k)),
+                    ),
+                    Op::Read(k) => builder.add_reads(Key::new(key_name(*k)), 1),
+                }
+            }
+        };
+        let mut raw = TtkvBuilder::from_store(apply(&base));
+        buffer(&mut raw, TimePrecision::Milliseconds);
+        raw.apply_precision(TimePrecision::Seconds);
+        let mut quantised = TtkvBuilder::from_store(apply(&base));
+        buffer(&mut quantised, TimePrecision::Seconds);
+        prop_assert_eq!(raw.last_time(), quantised.last_time());
+        prop_assert_eq!(raw.build(), quantised.build());
     }
 
     /// The per-record last-mutation watermark is prune-invariant — the

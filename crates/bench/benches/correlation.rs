@@ -1,4 +1,4 @@
-//! Transaction grouping and correlation-matrix construction throughput.
+//! Transaction grouping and correlation/distance construction throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ocasta::{transactions, Correlations, WriteEvent};
@@ -38,8 +38,12 @@ fn bench_correlations(c: &mut Criterion) {
         b.iter(|| Correlations::from_transactions(500, std::hint::black_box(&txns)))
     });
     let correlations = Correlations::from_transactions(500, &txns);
-    c.bench_function("distance_matrix_500_items", |b| {
-        b.iter(|| std::hint::black_box(&correlations).to_distance_matrix())
+    c.bench_function("distances_500_items", |b| {
+        b.iter(|| {
+            std::hint::black_box(&correlations)
+                .distances()
+                .collect::<Vec<_>>()
+        })
     });
 }
 

@@ -2,31 +2,32 @@
 //! (the ablation behind the paper's choice of maximum linkage).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ocasta::{hac, DistanceMatrix, Linkage};
+use ocasta::{hac, Linkage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn random_matrix(n: usize, seed: u64) -> DistanceMatrix {
+/// Sparse finite distances over `n` items, like real correlation graphs:
+/// each pair present with probability 5%, every other pair at `∞`.
+fn random_pairs(n: usize, seed: u64) -> Vec<(usize, usize, f64)> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut m = DistanceMatrix::new_filled(n, f64::INFINITY);
+    let mut pairs = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
-            // Sparse finite distances, like real correlation graphs.
             if rng.random_bool(0.05) {
-                m.set(i, j, rng.random_range(0.5..2.0));
+                pairs.push((i, j, rng.random_range(0.5..2.0)));
             }
         }
     }
-    m
+    pairs
 }
 
 fn bench_hac(c: &mut Criterion) {
     let mut group = c.benchmark_group("hac");
     for n in [50usize, 200, 750] {
-        let matrix = random_matrix(n, 42);
+        let pairs = random_pairs(n, 42);
         for linkage in Linkage::ALL {
-            group.bench_with_input(BenchmarkId::new(linkage.name(), n), &matrix, |b, matrix| {
-                b.iter(|| hac(std::hint::black_box(matrix), linkage))
+            group.bench_with_input(BenchmarkId::new(linkage.name(), n), &pairs, |b, pairs| {
+                b.iter(|| hac(n, std::hint::black_box(pairs).iter().copied(), linkage))
             });
         }
     }
@@ -34,8 +35,7 @@ fn bench_hac(c: &mut Criterion) {
 }
 
 fn bench_cut(c: &mut Criterion) {
-    let matrix = random_matrix(750, 42);
-    let dendrogram = hac(&matrix, Linkage::Complete);
+    let dendrogram = hac(750, random_pairs(750, 42), Linkage::Complete);
     c.bench_function("dendrogram_cut_750", |b| {
         b.iter(|| std::hint::black_box(&dendrogram).cut(0.5))
     });

@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use crate::matrix::DistanceMatrix;
-
 /// Pairwise co-modification statistics for a set of items.
 ///
 /// For items `A` and `B`, with `|A|` the number of transactions in which `A`
@@ -19,7 +17,8 @@ use crate::matrix::DistanceMatrix;
 /// default correlation threshold of 2 is a distance threshold of 0.5.
 ///
 /// `Correlations` stores only pairs that co-occur at least once, so it stays
-/// sparse even for large key populations.
+/// sparse even for large key populations; those pairs are exactly the
+/// finite distances ([`Self::distances`]) that [`crate::hac`] clusters.
 ///
 /// # Examples
 ///
@@ -155,48 +154,49 @@ impl Correlations {
     /// Returns 0 when either item has no writes (the paper's metric is
     /// undefined there; such items never cluster).
     pub fn correlation(&self, a: usize, b: usize) -> f64 {
+        self.correlation_with(a, b, self.joint_count(a, b))
+    }
+
+    /// [`Self::correlation`] given the joint count `|A∩B|`.
+    fn correlation_with(&self, a: usize, b: usize, joint: u32) -> f64 {
         let (ca, cb) = (self.txn_counts[a], self.txn_counts[b]);
         if ca == 0 || cb == 0 {
             return 0.0;
         }
-        let joint = f64::from(self.joint_count(a, b));
+        let joint = f64::from(joint);
         joint / f64::from(ca) + joint / f64::from(cb)
     }
 
     /// The clustering distance: the inverse of [`Self::correlation`]
     /// (`f64::INFINITY` for correlation 0).
     pub fn distance(&self, a: usize, b: usize) -> f64 {
-        let c = self.correlation(a, b);
-        if c == 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / c
-        }
+        inverse(self.correlation(a, b))
     }
 
     /// Pairs with non-zero correlation, as `(a, b, correlation)` with
     /// `a < b`, in unspecified order.
     pub fn correlated_pairs(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.pair_counts
-            .keys()
-            .map(|&(a, b)| (a as usize, b as usize))
-            .map(|(a, b)| (a, b, self.correlation(a, b)))
+        self.pair_counts.iter().map(|(&(a, b), &joint)| {
+            let (a, b) = (a as usize, b as usize);
+            (a, b, self.correlation_with(a, b, joint))
+        })
     }
 
-    /// Materialises the full condensed distance matrix (unrelated pairs get
-    /// `f64::INFINITY`).
-    ///
-    /// The matrix is dense — `n(n-1)/2` entries — which is fine for per-
-    /// application key populations (hundreds of written keys); callers
-    /// clustering tens of thousands of keys should partition by application
-    /// first, as Ocasta does.
-    pub fn to_distance_matrix(&self) -> DistanceMatrix {
-        let mut m = DistanceMatrix::new_filled(self.n_items, f64::INFINITY);
-        for &(a, b) in self.pair_counts.keys() {
-            let (a, b) = (a as usize, b as usize);
-            m.set(a, b, self.distance(a, b));
-        }
-        m
+    /// The finite distances: every co-modified pair as `(a, b, distance)`
+    /// with `a < b`, in unspecified order. Every pair left out is at
+    /// distance `f64::INFINITY`, so this is the whole input [`crate::hac`]
+    /// needs, in `O(pairs)` rather than `n(n-1)/2` entries.
+    pub fn distances(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        self.correlated_pairs().map(|(a, b, c)| (a, b, inverse(c)))
+    }
+}
+
+/// Correlation to distance: `1/c`, and `f64::INFINITY` for `c = 0`.
+fn inverse(correlation: f64) -> f64 {
+    if correlation == 0.0 {
+        f64::INFINITY
+    } else {
+        1.0 / correlation
     }
 }
 
@@ -258,10 +258,13 @@ mod tests {
     #[test]
     fn matrix_agrees_with_pointwise_distance() {
         let c = sample();
-        let m = c.to_distance_matrix();
+        // The sparse pairs, read as a matrix with ∞ in every missing cell.
+        let listed: HashMap<(usize, usize), f64> =
+            c.distances().map(|(a, b, d)| ((a, b), d)).collect();
         for i in 0..3 {
             for j in (i + 1)..3 {
-                assert_eq!(m.get(i, j), c.distance(i, j));
+                let d = listed.get(&(i, j)).copied().unwrap_or(f64::INFINITY);
+                assert_eq!(d, c.distance(i, j));
             }
         }
     }

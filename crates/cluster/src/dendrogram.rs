@@ -33,11 +33,10 @@ pub struct Merge {
 /// # Examples
 ///
 /// ```
-/// use ocasta_cluster::{hac, DistanceMatrix, Linkage};
+/// use ocasta_cluster::{hac, Linkage};
 ///
-/// let mut m = DistanceMatrix::new_filled(3, f64::INFINITY);
-/// m.set(0, 1, 0.5);
-/// let dendro = hac(&m, Linkage::Complete);
+/// // Items 0 and 1 at distance 0.5; item 2 unrelated (distance ∞).
+/// let dendro = hac(3, [(0, 1, 0.5)], Linkage::Complete);
 /// let clusters = dendro.cut(0.5);
 /// assert_eq!(clusters, vec![vec![0, 1], vec![2]]);
 /// ```
@@ -135,11 +134,9 @@ impl Dendrogram {
     /// # Examples
     ///
     /// ```
-    /// use ocasta_cluster::{hac, DistanceMatrix, Linkage};
+    /// use ocasta_cluster::{hac, Linkage};
     ///
-    /// let mut m = DistanceMatrix::new_filled(3, 2.0);
-    /// m.set(0, 1, 0.5);
-    /// let dendro = hac(&m, Linkage::Complete);
+    /// let dendro = hac(3, [(0, 1, 0.5), (0, 2, 2.0), (1, 2, 2.0)], Linkage::Complete);
     /// let newick = dendro.to_newick(Some(&["a", "b", "c"]));
     /// assert!(newick.starts_with('(') && newick.ends_with(';'));
     /// assert!(newick.contains("a") && newick.contains("c"));

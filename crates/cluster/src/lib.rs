@@ -13,7 +13,9 @@
 //!    `|A∩B|/|A| + |A∩B|/|B|` per key pair and converts it into distances
 //!    (`distance = 1/correlation`).
 //! 3. [`hac`] runs hierarchical agglomerative clustering (nearest-neighbor
-//!    chain, `O(n²)`) with the *maximum linkage criterion* by default,
+//!    chain) with the *maximum linkage criterion* by default over the
+//!    co-modified pairs alone — a pair never written together is at
+//!    distance `∞` and takes no memory, so no `n × n` matrix is built —
 //!    producing a [`Dendrogram`] that [`Dendrogram::cut`] prunes at a
 //!    distance threshold (paper default: correlation 2 ⇔ distance 0.5).
 //!
@@ -50,7 +52,6 @@ mod event;
 mod hac;
 mod incremental;
 mod linkage;
-mod matrix;
 mod window;
 
 pub use correlation::Correlations;
@@ -59,7 +60,6 @@ pub use event::{transactions, WriteEvent};
 pub use hac::hac;
 pub use incremental::IncrementalCorrelations;
 pub use linkage::Linkage;
-pub use matrix::DistanceMatrix;
 pub use window::TransactionWindow;
 
 /// Tunable parameters for the end-to-end clustering pipeline.
@@ -116,7 +116,8 @@ pub fn cluster_events(
 }
 
 /// The clustering tail shared by the batch and streaming pipelines: HAC over
-/// the correlation distances, cut at the correlation threshold.
+/// the co-modified pairs' distances ([`Correlations::distances`]), cut at the
+/// correlation threshold.
 ///
 /// Batch ([`cluster_events`]) and streaming
 /// ([`IncrementalCorrelations::snapshot`]) both exit through this function,
@@ -129,7 +130,7 @@ pub fn cluster_correlations(
     correlations: &Correlations,
     params: &ClusterParams,
 ) -> Vec<Vec<usize>> {
-    let dendrogram = hac(&correlations.to_distance_matrix(), params.linkage);
+    let dendrogram = hac(correlations.len(), correlations.distances(), params.linkage);
     dendrogram.cut_correlation(params.correlation_threshold)
 }
 

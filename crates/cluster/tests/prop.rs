@@ -4,8 +4,20 @@ use proptest::prelude::*;
 
 use ocasta_cluster::{
     cluster_correlations, cluster_events, hac, transactions, ClusterParams, Correlations,
-    DistanceMatrix, IncrementalCorrelations, Linkage, WriteEvent,
+    IncrementalCorrelations, Linkage, WriteEvent,
 };
+
+/// Every pair `i < j` of `n` items, in row order, at the next distance.
+fn all_pairs(n: usize, dists: Vec<f64>) -> Vec<(usize, usize, f64)> {
+    let mut it = dists.into_iter();
+    let mut pairs = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            pairs.push((i, j, it.next().unwrap()));
+        }
+    }
+    pairs
+}
 
 fn events(n_items: usize, max_events: usize) -> impl Strategy<Value = Vec<WriteEvent>> {
     prop::collection::vec(
@@ -82,15 +94,9 @@ proptest! {
         threshold in 0.01f64..100.0,
     ) {
         let n = 10;
-        let mut m = DistanceMatrix::new_filled(n, 0.0);
-        let mut it = dists.into_iter();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                m.set(i, j, it.next().unwrap());
-            }
-        }
+        let m = all_pairs(n, dists);
         for linkage in Linkage::ALL {
-            let d = hac(&m, linkage);
+            let d = hac(n, m.iter().copied(), linkage);
             prop_assert!(d.is_monotone(), "{:?}", linkage);
             let cut = d.cut(threshold);
             let mut seen: Vec<usize> = cut.iter().flatten().copied().collect();
@@ -108,14 +114,7 @@ proptest! {
         extra in 0.0f64..50.0,
     ) {
         let n = 10;
-        let mut m = DistanceMatrix::new_filled(n, 0.0);
-        let mut it = dists.into_iter();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                m.set(i, j, it.next().unwrap());
-            }
-        }
-        let d = hac(&m, Linkage::Complete);
+        let d = hac(n, all_pairs(n, dists), Linkage::Complete);
         prop_assert!(d.cut(t1 + extra).len() <= d.cut(t1).len());
     }
 

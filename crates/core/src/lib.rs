@@ -79,8 +79,7 @@ pub use vopr::{
 pub use ocasta_apps::{all_models, model_by_name, scenarios, AppModel, ErrorScenario, LoggerKind};
 pub use ocasta_cluster::{
     cluster_correlations, cluster_events, hac, transactions, ClusterParams, Correlations,
-    Dendrogram, DistanceMatrix, IncrementalCorrelations, Linkage, PartitionStats,
-    TransactionWindow, WriteEvent,
+    Dendrogram, IncrementalCorrelations, Linkage, PartitionStats, TransactionWindow, WriteEvent,
 };
 pub use ocasta_fleet::{
     diagnose, ingest as fleet_ingest, ingest_into as fleet_ingest_into,

@@ -66,7 +66,38 @@ impl Ocasta {
     /// Extracts the per-key write events the clustering consumes: every
     /// mutation (write or deletion) of every modified key.
     pub fn write_events(&self, store: &Ttkv) -> (Vec<Key>, Vec<WriteEvent>) {
-        let keys: Vec<Key> = store.modified_keys().cloned().collect();
+        self.events_of(store, store.modified_keys())
+    }
+
+    /// Clusters every modified key in the store.
+    pub fn cluster_store(&self, store: &Ttkv) -> Clustering {
+        self.cluster_keys(store, store.modified_keys())
+    }
+
+    /// Clusters only the modified keys under an application prefix (how the
+    /// paper evaluates per-application accuracy): the same keys, events and
+    /// partition [`Self::cluster_store`] gives a store holding only that
+    /// application.
+    pub fn cluster_app(&self, store: &Ttkv, app_prefix: &Key) -> Clustering {
+        self.cluster_keys(
+            store,
+            store.modified_keys().filter(|k| k.starts_with(app_prefix)),
+        )
+    }
+
+    fn cluster_keys<'a>(&self, store: &Ttkv, keys: impl Iterator<Item = &'a Key>) -> Clustering {
+        let (keys, events) = self.events_of(store, keys);
+        let partition = cluster_events(keys.len(), &events, &self.params);
+        Clustering::new(keys, partition)
+    }
+
+    /// Numbers `keys` in iteration order and lists every mutation of each.
+    fn events_of<'a>(
+        &self,
+        store: &Ttkv,
+        keys: impl Iterator<Item = &'a Key>,
+    ) -> (Vec<Key>, Vec<WriteEvent>) {
+        let keys: Vec<Key> = keys.cloned().collect();
         let mut events = Vec::new();
         for (idx, key) in keys.iter().enumerate() {
             if let Some(record) = store.record(key.as_str()) {
@@ -76,37 +107,6 @@ impl Ocasta {
             }
         }
         (keys, events)
-    }
-
-    /// Clusters every modified key in the store.
-    pub fn cluster_store(&self, store: &Ttkv) -> Clustering {
-        let (keys, events) = self.write_events(store);
-        let partition = cluster_events(keys.len(), &events, &self.params);
-        Clustering::new(keys, partition)
-    }
-
-    /// Clusters only the keys under an application prefix (how the paper
-    /// evaluates per-application accuracy).
-    pub fn cluster_app(&self, store: &Ttkv, app_prefix: &Key) -> Clustering {
-        let keys: Vec<Key> = store
-            .keys_under(app_prefix)
-            .filter(|k| {
-                store
-                    .record(k.as_str())
-                    .is_some_and(|r| r.modifications() > 0)
-            })
-            .cloned()
-            .collect();
-        let mut events = Vec::new();
-        for (idx, key) in keys.iter().enumerate() {
-            if let Some(record) = store.record(key.as_str()) {
-                for t in record.mutation_times() {
-                    events.push(WriteEvent::new(idx, self.precision.apply(t).as_millis()));
-                }
-            }
-        }
-        let partition = cluster_events(keys.len(), &events, &self.params);
-        Clustering::new(keys, partition)
     }
 }
 

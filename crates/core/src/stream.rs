@@ -220,8 +220,10 @@ impl OcastaStream {
 
     /// Serves the clustering as of *right now*, stamped with its horizon.
     ///
-    /// Cost is O(sealed state + unsealed backlog + HAC over the key
-    /// population). Everything at or below the watermark is pre-folded
+    /// Cost is O(sealed state + unsealed backlog), plus HAC over the
+    /// co-modified pairs alone: the nearest-neighbour chain walks sparse
+    /// neighbour rows, so keys that were never written together cost no
+    /// `n × n` matrix. Everything at or below the watermark is pre-folded
     /// into sparse counts, so for feeds that seal as they go (a
     /// time-ordered live tail with [`advance_watermark`](Self::advance_watermark),
     /// or [`seal`](Self::seal) at batch boundaries) a query never rescans

@@ -1,7 +1,10 @@
 //! End-to-end pipeline integration: workload generation → trace files →
 //! TTKV replay → clustering → ground-truth recovery.
 
-use ocasta::{generate, model_by_name, GeneratorConfig, Key, Ocasta, TimePrecision, Trace, Ttkv};
+use ocasta::{
+    generate, model_by_name, GeneratorConfig, Key, Ocasta, TimePrecision, Timestamp, Trace, Ttkv,
+    Value,
+};
 
 #[test]
 fn generated_trace_roundtrips_through_file_format() {
@@ -109,6 +112,27 @@ fn cluster_app_matches_full_store_for_single_app_traces() {
     let whole = engine.cluster_store(&store);
     let scoped = engine.cluster_app(&store, &Key::new("chrome"));
     assert_eq!(whole.clusters(), scoped.clusters());
+}
+
+#[test]
+fn cluster_app_matches_full_store_on_pruned_stores() {
+    // `app/old`'s whole history falls before the horizon: a retention
+    // sweep leaves its record but no mutation, so neither query may
+    // cluster it, not even as a singleton.
+    let mut store = Ttkv::new();
+    store.write(Timestamp::from_secs(1), "app/old", Value::from(1));
+    store.write(Timestamp::from_secs(100), "app/a", Value::from(1));
+    store.write(Timestamp::from_secs(100), "app/b", Value::from(2));
+    store.prune_before(Timestamp::from_secs(50));
+    let engine = Ocasta::default();
+    let whole = engine.cluster_store(&store);
+    let scoped = engine.cluster_app(&store, &Key::new("app"));
+    assert_eq!(
+        whole.clusters(),
+        [vec![Key::new("app/a"), Key::new("app/b")]]
+    );
+    assert_eq!(whole.clusters(), scoped.clusters());
+    assert!(scoped.cluster_of("app/old").is_none());
 }
 
 #[test]

@@ -3,23 +3,17 @@
 //! Each `tableN`/`figN` module reproduces one artifact of the paper's
 //! evaluation section; the matching binaries (`cargo run -p ocasta-bench
 //! --bin table2 --release`) print the result in the paper's shape, and
-//! `--bin run_all` regenerates everything. The `fleet`, `stream`,
-//! `repair` and `retention` modules benchmark the scale tiers grown on
-//! top of the paper; `compare` gates their JSON artifacts against the
-//! tracked baselines in `baselines/` (the `bench-compare` binary).
+//! `--bin run_all` regenerates everything. The scale tiers grown on top
+//! of the paper are measured by the repository benchmark under
+//! `perfbench/`, not here.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod compare;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
-pub mod fleet;
-pub mod repair;
-pub mod retention;
-pub mod stream;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -20,7 +20,6 @@
 /// assert_eq!(e.time_ms, 1_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WriteEvent {
     /// Milliseconds since the trace epoch. Field order makes the derived
     /// `Ord` sort by time first, which the transaction grouper relies on.

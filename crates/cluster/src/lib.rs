@@ -37,10 +37,6 @@
 //! This crate is deliberately free of key names, values and clocks: items are
 //! dense indices and times are `u64` milliseconds, so the algorithm is
 //! reusable for any co-occurrence clustering problem.
-//!
-//! ## Feature flags
-//!
-//! * `serde` — derive `Serialize`/`Deserialize` on the public data types.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -68,7 +64,6 @@ pub use window::TransactionWindow;
 /// threshold of 2 (cluster only keys that are *always* modified together),
 /// with complete linkage.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClusterParams {
     /// Sliding co-modification window, in milliseconds.
     pub window_ms: u64,

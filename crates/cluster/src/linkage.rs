@@ -5,9 +5,9 @@
 /// Ocasta uses [`Linkage::Complete`] (the paper's "maximum linkage
 /// criterion", which prior work found to outperform the alternatives for
 /// software clustering). [`Linkage::Single`] and [`Linkage::Average`] are
-/// provided for the ablation benches.
+/// the textbook alternatives; [`crate::hac`] and its reference tests
+/// cover all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Linkage {
     /// Maximum distance between any two items across the clusters
     /// (the paper's default).
@@ -34,15 +34,6 @@ impl Linkage {
                 // that side" semantics for sparse correlation graphs.
                 (ni * d_ik + nj * d_jk) / (ni + nj)
             }
-        }
-    }
-
-    /// Human-readable name used in bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Linkage::Complete => "complete",
-            Linkage::Single => "single",
-            Linkage::Average => "average",
         }
     }
 
@@ -83,6 +74,5 @@ mod tests {
     #[test]
     fn default_is_complete() {
         assert_eq!(Linkage::default(), Linkage::Complete);
-        assert_eq!(Linkage::default().name(), "complete");
     }
 }

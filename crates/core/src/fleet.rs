@@ -200,6 +200,42 @@ mod tests {
         assert_eq!(machines[0].specs.len(), crate::all_models().len());
     }
 
+    /// One fixed fleet (29 machines x 40 days of gedit, evolution and
+    /// chrome, seed 77) ingested at every (threads, shards) pair of a
+    /// small configuration sweep lands the same number of mutations.
+    #[test]
+    fn sweep_is_consistent_across_configurations() {
+        let machines = fleet_machines(&FleetRunConfig {
+            machines: 29,
+            days: 40,
+            seed: 77,
+            apps: vec!["gedit".into(), "evolution".into(), "chrome".into()],
+            ..FleetRunConfig::default()
+        })
+        .unwrap();
+        let mut mutations = Vec::new();
+        for shards in [1, 8] {
+            for ingest_threads in [1, 2] {
+                let config = FleetConfig {
+                    shards,
+                    ingest_threads,
+                    batch_size: 512,
+                    precision: TimePrecision::Seconds,
+                    placement: KeyPlacement::Merged,
+                    retention: None,
+                    ..FleetConfig::default()
+                };
+                let (_, report) = ocasta_fleet::ingest(&machines, &config);
+                mutations.push(report.mutations);
+            }
+        }
+        assert!(mutations[0] > 0);
+        assert!(
+            mutations.iter().all(|&m| m == mutations[0]),
+            "same fleet => same mutation count: {mutations:?}"
+        );
+    }
+
     #[test]
     fn placement_parsing() {
         assert_eq!(parse_placement("merged").unwrap(), KeyPlacement::Merged);

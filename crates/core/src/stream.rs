@@ -227,7 +227,7 @@ impl OcastaStream {
     /// into sparse counts, so for feeds that seal as they go (a
     /// time-ordered live tail with [`advance_watermark`](Self::advance_watermark),
     /// or [`seal`](Self::seal) at batch boundaries) a query never rescans
-    /// history — the `stream` bench's flat query cost. A feed that *cannot*
+    /// history, so its cost stays flat as history grows. A feed that *cannot*
     /// seal mid-run — concurrent fleet machines interleave simulated time
     /// arbitrarily, so no sound mid-run watermark exists — still gets an
     /// exact answer from the optimistic snapshot, paying O(events absorbed
@@ -302,6 +302,60 @@ mod tests {
         let live = stream.clustering();
         let batch = engine.cluster_store(&batch_store());
         assert_eq!(live.clustering, batch);
+    }
+
+    /// Streaming == batch at full size: the fleet feed of 12 machines x
+    /// 30 days of gedit, evolution and chrome (seed 42), quantised to
+    /// seconds. At each of 8 evenly spaced checkpoints, the incremental
+    /// state that absorbed only the delta must cluster exactly like a
+    /// batch run over the whole prefix.
+    #[test]
+    fn sweep_checkpoints_cover_the_stream_and_agree() {
+        use crate::fleet::{fleet_machines, FleetRunConfig};
+        use ocasta_cluster::{cluster_events, ClusterParams};
+        use ocasta_ttkv::TimePrecision;
+
+        let machines = fleet_machines(&FleetRunConfig {
+            machines: 12,
+            days: 30,
+            seed: 42,
+            apps: vec!["gedit".into(), "evolution".into(), "chrome".into()],
+            ..FleetRunConfig::default()
+        })
+        .expect("catalog names are valid");
+        let mut items = HashMap::new();
+        let mut events = Vec::new();
+        for machine in &machines {
+            for (key, t) in ocasta_trace::mutation_feed(machine.stream()) {
+                let next = items.len();
+                let item = *items.entry(key).or_insert(next);
+                events.push(WriteEvent::new(
+                    item,
+                    TimePrecision::Seconds.apply(t).as_millis(),
+                ));
+            }
+        }
+        events.sort_unstable();
+        assert_eq!((events.len(), items.len()), (25_045, 148), "the feed");
+
+        let params = ClusterParams::default();
+        let mut incremental = IncrementalCorrelations::with_items(items.len(), params.window_ms);
+        let checkpoints = 8;
+        let mut absorbed = 0;
+        for checkpoint in 1..=checkpoints {
+            let upto = events.len() * checkpoint / checkpoints;
+            for &event in &events[absorbed..upto] {
+                incremental.observe(event);
+                incremental.advance_watermark(event.time_ms);
+            }
+            absorbed = upto;
+            assert_eq!(
+                cluster_correlations(&incremental.snapshot(), &params),
+                cluster_events(items.len(), &events[..upto], &params),
+                "streaming != batch at checkpoint {checkpoint} ({upto} events)"
+            );
+        }
+        assert_eq!(absorbed, events.len(), "the checkpoints cover the stream");
     }
 
     #[test]

@@ -607,9 +607,8 @@ impl ShardedTtkv {
     /// The legacy clone-under-lock snapshot: every shard's **entire**
     /// state — sealed segment stores included — is deep-cloned under its
     /// stripe lock (an O(live state) stall), then folded outside. Kept as
-    /// the equivalence oracle for [`ShardedTtkv::pin_epoch`] (the property
-    /// suite asserts pin == clone at every interleaving it can generate)
-    /// and as the bench yardstick the epoch pin is measured against.
+    /// the equivalence oracle for [`ShardedTtkv::pin_epoch`]: the property
+    /// suite asserts pin == clone at every interleaving it can generate.
     pub fn snapshot_store_cloned(&self) -> Ttkv {
         let shards = self
             .shards

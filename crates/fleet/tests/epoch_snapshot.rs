@@ -6,7 +6,7 @@
 //! every interleaving of appends, seals, staged prunes and shell
 //! collection this suite can generate. The clone path
 //! ([`ShardedTtkv::snapshot_store_cloned`]) is kept alive purely as the
-//! oracle here (and as the bench yardstick).
+//! oracle here.
 
 use ocasta_fleet::ShardedTtkv;
 use ocasta_trace::{AccessEvent, TraceOp};
@@ -200,4 +200,40 @@ fn pin_across_a_boundary_sweep_sees_pre_sweep_state_exactly() {
         "the live store shows the swept history"
     );
     assert_eq!(sharded.snapshot_store(), sharded.snapshot_store_cloned());
+}
+
+/// Session open does not grow with live state: a pin copies only the
+/// unsealed tails, under one seal threshold per shard however much
+/// history the store holds, and shares the sealed segments, so once live
+/// state outgrows the tails the pin must reference segments. At every
+/// size the pin still materializes into exactly the clone-under-lock
+/// store.
+#[test]
+fn session_open_copies_only_the_unsealed_tails() {
+    for ops in [10_000usize, 40_000, 160_000] {
+        let sharded = ShardedTtkv::new(8);
+        sharded.append_routed(
+            (0..ops)
+                .map(|i| write_op(&format!("app/k{:05}", i % 4096), i as u64, i as i64))
+                .collect(),
+        );
+        let tail_capacity = sharded.shard_count() * sharded.seal_threshold();
+        let pin = sharded.pin_epoch();
+        assert!(
+            pin.pinned_tail_mutations() < tail_capacity,
+            "{ops} ops: the pin copied {} tail mutations",
+            pin.pinned_tail_mutations()
+        );
+        if ops > tail_capacity {
+            assert!(
+                pin.segment_count() > 0,
+                "{ops} ops: no sealed segment shared"
+            );
+        }
+        assert_eq!(
+            pin.materialize(),
+            sharded.snapshot_store_cloned(),
+            "{ops} ops: epoch pin != clone-under-lock store"
+        );
+    }
 }

@@ -4,8 +4,7 @@
 //! The rules in this crate match **token sequences**, never raw text, so
 //! `"Instant::now"` inside a string literal, a `// panic!` in a comment,
 //! or an `unwrap` buried in a raw-string fixture can never fire a lint.
-//! That is the same design point as `bench-compare`'s structural JSON
-//! scanner: parse exactly the structure the checks need — here, the token
+//! The lexer parses exactly the structure the checks need — the token
 //! boundaries and literal/comment extents — and nothing more.
 //!
 //! What the lexer understands:

@@ -9,8 +9,8 @@
 //!   wall clock; the VOPR's replayable-seed guarantee dies the moment a
 //!   timestamp sneaks into a decision. The
 //!   `wallclock-in-deterministic-path` rule denies `Instant::now()` /
-//!   `SystemTime::now()` everywhere except the few module trees the
-//!   policy allows (the obs timing seam, the benches).
+//!   `SystemTime::now()` everywhere except the module tree the policy
+//!   allows (the obs timing seam).
 //! * **Worker paths don't panic** — a panic inside an ingest worker, the
 //!   WAL appender, or the retention sweeper poisons locks and cascades;
 //!   those call graphs must return structured errors. The
@@ -26,11 +26,10 @@
 //!   both, and flags suppressions that no longer suppress anything.
 //!
 //! The implementation is dependency-free in the workspace's offline
-//! style: a hand-rolled Rust lexer (same spirit as `bench-compare`'s
-//! structural JSON scanner) feeds token-sequence matchers, so nothing in
-//! a string literal or comment can ever fire a rule. Scope comes from
-//! the checked-in `lint.toml`; findings use the doctor's severity model
-//! and the run exits non-zero on any Error.
+//! style: a hand-rolled Rust lexer feeds token-sequence matchers, so
+//! nothing in a string literal or comment can ever fire a rule. Scope
+//! comes from the checked-in `lint.toml`; findings use the doctor's
+//! severity model and the run exits non-zero on any Error.
 //!
 //! Run it as `cargo run -p ocasta-lint -- --workspace` or
 //! `ocasta lint`; CI runs it with `--json` and fails on Errors.

@@ -11,7 +11,6 @@ use crate::value::Value;
 /// including timestamps" with "a special type of value ... to represent
 /// deletions"; `Version` is that list's element type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Version {
     /// When the mutation was recorded.
     pub timestamp: Timestamp,
@@ -58,7 +57,6 @@ impl Version {
 /// recorded state, not a recorded mutation, so pruning can never inject a
 /// phantom co-modification at the horizon into clustering or repair.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KeyRecord {
     /// Number of read accesses observed.
     pub reads: u64,

@@ -26,7 +26,6 @@ use crate::Key;
 /// assert!(sandbox.get("mail/mark_seen").is_none());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConfigState {
     values: BTreeMap<Key, Value>,
 }

@@ -8,7 +8,6 @@ use std::fmt;
 /// ("Summary of trace statistics"): reads, writes, distinct keys and the
 /// approximate size of the TTKV.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TtkvStats {
     /// Distinct keys ever observed.
     pub keys: u64,
@@ -68,7 +67,6 @@ impl fmt::Display for TtkvStats {
 /// fold into per-shard and per-run totals (see `ocasta-fleet`'s retention
 /// sweeper).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PruneStats {
     /// Historical versions collapsed into (or dropped behind) the horizon.
     pub pruned_versions: u64,

@@ -40,7 +40,6 @@ use crate::Key;
 /// assert_eq!(store.current("app/theme"), Some(&Value::from("light")));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ttkv {
     records: BTreeMap<Key, KeyRecord>,
     reads: u64,

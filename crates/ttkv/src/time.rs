@@ -26,7 +26,6 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t.quantize_secs().as_millis(), 10_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -62,11 +61,6 @@ impl Timestamp {
     /// Whole seconds since the trace epoch (truncating).
     pub const fn as_secs(self) -> u64 {
         self.0 / 1000
-    }
-
-    /// Fractional days since the trace epoch.
-    pub fn as_days(self) -> f64 {
-        self.0 as f64 / 86_400_000.0
     }
 
     /// Rounds the timestamp down to whole-second precision, mirroring the
@@ -137,7 +131,6 @@ impl Sub<Timestamp> for Timestamp {
 /// assert!(TimeDelta::from_days(1) > TimeDelta::from_secs(600));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeDelta(u64);
 
 impl TimeDelta {
@@ -223,7 +216,6 @@ impl fmt::Display for TimeDelta {
 /// [`TimePrecision::Milliseconds`] models the finer-grained infrastructure
 /// the authors suggest would eliminate most oversized clusters (§VI-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TimePrecision {
     /// Quantise timestamps to whole seconds (paper default).
     #[default]

@@ -29,7 +29,6 @@ use std::hash::{Hash, Hasher};
 /// assert_eq!(list.to_string(), "[a.doc, b.doc]");
 /// ```
 #[derive(Debug, Clone, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// Explicit null (JSON `null`, empty registry value).
     Null,

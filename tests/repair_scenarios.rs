@@ -1,6 +1,9 @@
 //! Table IV integration: all 16 real-world errors end to end.
 
-use ocasta::{run_noclust, run_scenario, scenarios, ClusterParams, ScenarioConfig, SearchStrategy};
+use ocasta::{
+    parallel_search, prepare_store, run_noclust, run_scenario, scenarios, search, ClusterParams,
+    Ocasta, ScenarioConfig, SearchConfig, SearchStrategy, TimeDelta,
+};
 
 fn config_for(scenario: &ocasta::ErrorScenario) -> ScenarioConfig {
     let params = if scenario.needs_tuning {
@@ -127,4 +130,50 @@ fn injection_age_affects_search_depth() {
         old >= fresh,
         "mean trials should grow with injection age: {old:.1} vs {fresh:.1}"
     );
+}
+
+#[test]
+fn parallel_search_equals_sequential_as_the_history_grows() {
+    // Error #13 (Chrome's missing bookmark bar) over ever longer traces,
+    // searched exhaustively so the plan grows with the history: every
+    // parallel outcome must equal the sequential one as a whole
+    // `SearchOutcome`, at 2 and 4 executors. (The shortest trace must
+    // exceed the 14-day injection age, or the injection saturates to the
+    // epoch and rolls back onto itself.)
+    let base = scenarios().into_iter().find(|s| s.id == 13).unwrap();
+    let mut shorter_plan = 0;
+    for days in [21, 42, 63, 84] {
+        let mut scenario = base.clone();
+        scenario.trace_days = days;
+        let config = ScenarioConfig {
+            start_bound_days: None,
+            ..ScenarioConfig::default()
+        };
+        let (store, _) = prepare_store(&scenario, &config);
+        let clusters = Ocasta::new(config.params).cluster_store(&store);
+        let search_config = SearchConfig {
+            window: TimeDelta::from_millis(config.params.window_ms),
+            trial_cost: scenario.trial_cost,
+            ..SearchConfig::default()
+        };
+        let (trial, oracle) = (scenario.trial(), scenario.oracle());
+        let sequential = search(&store, clusters.clusters(), &trial, &oracle, &search_config);
+        assert!(sequential.is_fixed(), "error #13 at {days} days");
+        assert!(sequential.total_trials > shorter_plan, "{days} days");
+        shorter_plan = sequential.total_trials;
+        for executors in [2, 4] {
+            let parallel = parallel_search(
+                &store,
+                clusters.clusters(),
+                &trial,
+                &oracle,
+                &search_config,
+                executors,
+            );
+            assert_eq!(
+                parallel, sequential,
+                "parallel({executors}) != sequential at {days} days"
+            );
+        }
+    }
 }

@@ -1,21 +1,27 @@
-//! Tier-1 retention equivalence: the bench's retained-vs-unbounded checks,
-//! promoted into `cargo test -q` so a retention regression fails the build
-//! without anyone running the bench bin.
+//! Tier-1 retention equivalence: retained-vs-unbounded checks that fail
+//! `cargo test -q` on any retention regression.
 //!
-//! Two layers are covered, both against the same fixed fleet feed:
+//! Three layers are covered:
 //!
 //! * **store + WAL**: chunked ingestion into a retained `ShardedTtkv`
 //!   (incremental in-place sweeps, layered WAL compaction) must equal the
 //!   unbounded side pruned *once* at the current horizon — exactly, not
 //!   just on sampled queries — and the layered WAL must replay to the
-//!   same store at every checkpoint;
+//!   same store at every checkpoint. The retention feed (10 machines x 60
+//!   days) also pins the settled footprint ratios and the v2 segment's
+//!   size against the text form;
 //! * **engine**: a full `ingest` run with a `RetentionPolicy` must land on
 //!   exactly `prune(horizon)` of the retention-off run, while every
-//!   post-horizon query and lifetime counter agrees.
+//!   post-horizon query and lifetime counter agrees;
+//! * **repair service**: a pinned session under a live sweeper repairs
+//!   exactly like the same session with retention off.
 
+use std::path::Path;
+
+use ocasta::fleet::{fleet_machines, FleetRunConfig};
 use ocasta::{
-    fleet_ingest, FleetConfig, KeyPlacement, MachineSpec, RetentionPolicy, ShardedTtkv, TimeDelta,
-    TimePrecision, TraceOp, Wal, WorkloadSpec,
+    fleet_ingest, FleetConfig, KeyPlacement, MachineSpec, RepairServiceConfig, RetentionPolicy,
+    ShardedTtkv, TimeDelta, TimePrecision, Timestamp, TraceOp, Ttkv, Wal, WorkloadSpec,
 };
 
 /// A small deterministic fleet (seeded workload generator).
@@ -33,62 +39,103 @@ fn machines(count: usize, days: u64) -> Vec<MachineSpec> {
         .collect()
 }
 
-/// The fleet's mutation ops as one time-ordered feed.
-fn feed(count: usize, days: u64) -> Vec<TraceOp> {
-    let mut ops: Vec<TraceOp> = machines(count, days)
+/// The machines' mutation ops as one time-ordered feed.
+fn feed_of(machines: &[MachineSpec]) -> Vec<TraceOp> {
+    let mut ops: Vec<TraceOp> = machines
         .iter()
         .flat_map(|m| m.stream().filter(|op| matches!(op, TraceOp::Mutation(_))))
         .collect();
     ops.sort_by_key(|op| match op {
         TraceOp::Mutation(event) => event.timestamp,
-        TraceOp::Reads(..) => ocasta::Timestamp::EPOCH,
+        TraceOp::Reads(..) => Timestamp::EPOCH,
     });
     ops
 }
 
-#[test]
-fn retained_store_and_layered_wal_equal_unbounded_pruned_once() {
-    let ops = feed(3, 20);
-    assert!(ops.len() > 200, "feed is non-trivial: {}", ops.len());
-    let retain = TimeDelta::from_days(4);
+/// The small fleet's feed.
+fn feed(count: usize, days: u64) -> Vec<TraceOp> {
+    feed_of(&machines(count, days))
+}
+
+/// Store and disk bytes, retained side first, unbounded side second.
+type Footprint = (u64, u64);
+
+/// What one pass over the retention feed leaves behind.
+struct RetentionSweep {
+    /// Versions the staged sweeps reclaimed in all.
+    pruned_versions: u64,
+    /// Live store bytes at the last checkpoint.
+    store: Footprint,
+    /// WAL bytes (layers + log) at the last checkpoint, wherever the
+    /// rebase cadence happened to stop.
+    mid_run_disk: Footprint,
+    /// WAL bytes after one settling rebase at the last horizon.
+    settled_disk: Footprint,
+    /// The retained store after the last sweep.
+    settled: Ttkv,
+}
+
+/// Drives `ops` into a retained and an unbounded store of `shards`
+/// shards in `checkpoints` chunks. After each chunk the retained side is
+/// swept to `frontier − retain` and its WAL compacted to the same horizon
+/// as delta layers, rebased every `rebase_layers` sweeps (the WAL's
+/// default when `None`); the unbounded WAL is compacted unpruned, so the
+/// disk comparison is snapshot to snapshot. After the last checkpoint one
+/// rebase settles the retained chain.
+///
+/// Asserts at every checkpoint that the staged sweeps equal one direct
+/// prune of the unbounded store, that the layered WAL replays to the
+/// retained store, that post-horizon queries agree at the horizon and the
+/// frontier, and that lifetime counters survive pruning; and, once
+/// settled, that the rebased chain still replays to the store.
+fn sweep(
+    ops: &[TraceOp],
+    shards: usize,
+    retain: TimeDelta,
+    checkpoints: usize,
+    rebase_layers: Option<usize>,
+    scratch: &Path,
+) -> RetentionSweep {
     let precision = TimePrecision::Milliseconds;
+    let off = ShardedTtkv::new(shards);
+    let on = ShardedTtkv::new(shards);
+    let _ = std::fs::remove_dir_all(scratch);
+    let mut off_wal = Wal::open(scratch.join("off")).expect("scratch dir writable");
+    let mut on_wal = Wal::open(scratch.join("on")).expect("scratch dir writable");
+    if let Some(layers) = rebase_layers {
+        on_wal.set_rebase_layers(layers);
+    }
+    let disk = |wal: &Wal| wal.log_bytes() + wal.snapshot_bytes();
 
-    let off = ShardedTtkv::new(4);
-    let on = ShardedTtkv::new(4);
-    let dir = std::env::temp_dir().join(format!("ocasta-t1-retention-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut wal = Wal::open(&dir).expect("scratch dir writable");
-
-    let checkpoints = 5;
+    let mut pruned_versions = 0;
+    let mut horizon = Timestamp::EPOCH;
+    let mut store = (0, 0);
     for checkpoint in 1..=checkpoints {
-        let done = ops.len() * checkpoint / checkpoints;
-        let start = ops.len() * (checkpoint - 1) / checkpoints;
-        let chunk = &ops[start..done];
+        let chunk =
+            &ops[ops.len() * (checkpoint - 1) / checkpoints..ops.len() * checkpoint / checkpoints];
         off.append_routed(chunk.to_vec());
         on.append_routed(chunk.to_vec());
-        wal.append(chunk).expect("wal append");
+        off_wal.append(chunk).expect("wal append");
+        on_wal.append(chunk).expect("wal append");
 
-        let frontier = on.last_mutation_time().expect("non-empty chunks");
-        let horizon = frontier.saturating_sub(retain);
-        on.prune_before(horizon);
-        wal.compact_pruned(precision, horizon).expect("wal compact");
+        let frontier = on.last_mutation_time().expect("chunks are non-empty");
+        horizon = frontier.saturating_sub(retain);
+        pruned_versions += on.prune_before(horizon).pruned_versions;
+        on_wal
+            .compact_pruned(precision, horizon)
+            .expect("wal compact");
+        off_wal.compact(precision).expect("wal compact");
 
-        // Staged incremental sweeps == one direct prune, exactly.
-        let mut direct = off.snapshot_store();
-        let on_snap = on.snapshot_store();
-        direct.prune_before(horizon);
-        assert_eq!(on_snap, direct, "checkpoint {checkpoint}");
-        // The layered WAL chain replays to the same store.
-        assert_eq!(
-            wal.replay(precision).expect("wal replay"),
-            on_snap,
-            "checkpoint {checkpoint}"
-        );
-
-        // Post-horizon queries and lifetime counters are preserved.
         let off_snap = off.snapshot_store();
-        assert_eq!(on_snap.stats().writes, off_snap.stats().writes);
-        assert_eq!(on_snap.stats().deletes, off_snap.stats().deletes);
+        let on_snap = on.snapshot_store();
+        let mut direct = off_snap.clone();
+        direct.prune_before(horizon);
+        assert_eq!(on_snap, direct, "checkpoint {checkpoint}: one direct prune");
+        assert_eq!(
+            on_wal.replay(precision).expect("wal replay"),
+            on_snap,
+            "checkpoint {checkpoint}: layered replay"
+        );
         for key in off_snap.keys() {
             for probe in [horizon, frontier] {
                 assert_eq!(
@@ -98,9 +145,70 @@ fn retained_store_and_layered_wal_equal_unbounded_pruned_once() {
                 );
             }
         }
-        assert!(on_snap.approx_bytes() <= off_snap.approx_bytes());
+        assert_eq!(
+            (on_snap.stats().writes, on_snap.stats().deletes),
+            (off_snap.stats().writes, off_snap.stats().deletes),
+            "lifetime counters must survive pruning"
+        );
+        store = (on_snap.approx_bytes(), off_snap.approx_bytes());
+        assert!(store.0 <= store.1, "checkpoint {checkpoint}: {store:?}");
     }
-    std::fs::remove_dir_all(&dir).ok();
+    let mid_run_disk = (disk(&on_wal), disk(&off_wal));
+
+    on_wal
+        .compact_pruned_rebased(precision, horizon)
+        .expect("wal rebase");
+    let settled = on.snapshot_store();
+    assert_eq!(
+        on_wal.replay(precision).expect("wal replay"),
+        settled,
+        "the settling rebase replays to the store"
+    );
+    let settled_disk = (disk(&on_wal), disk(&off_wal));
+    std::fs::remove_dir_all(scratch).ok();
+    RetentionSweep {
+        pruned_versions,
+        store,
+        mid_run_disk,
+        settled_disk,
+        settled,
+    }
+}
+
+/// The retention feed (10 machines x 60 days of gedit, evolution and
+/// chrome, seed 99) into 8 shards, keeping 10 days, in 6 checkpoints,
+/// rebasing every 3 sweeps.
+fn sweep_retention_feed(scratch: &Path) -> RetentionSweep {
+    let ops = feed_of(
+        &fleet_machines(&FleetRunConfig {
+            machines: 10,
+            days: 60,
+            seed: 99,
+            apps: vec!["gedit".into(), "evolution".into(), "chrome".into()],
+            ..FleetRunConfig::default()
+        })
+        .expect("catalog names are valid"),
+    );
+    sweep(&ops, 8, TimeDelta::from_days(10), 6, Some(3), scratch)
+}
+
+/// A scratch directory private to one test of this process.
+fn scratch(test: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("ocasta-t1-{test}-{}", std::process::id()))
+}
+
+#[test]
+fn retained_store_and_layered_wal_equal_unbounded_pruned_once() {
+    let ops = feed(3, 20);
+    assert!(ops.len() > 200, "feed is non-trivial: {}", ops.len());
+    sweep(
+        &ops,
+        4,
+        TimeDelta::from_days(4),
+        5,
+        None,
+        &scratch("retention-small-feed"),
+    );
 }
 
 #[test]
@@ -152,5 +260,118 @@ fn engine_retention_run_equals_unbounded_run_pruned_at_final_horizon() {
             reference.value_at(key.as_str(), frontier),
             "{key} at the frontier"
         );
+    }
+}
+
+#[test]
+fn retention_feed_sweeps_equal_one_direct_prune_at_every_checkpoint() {
+    let sweep = sweep_retention_feed(&scratch("retention-feed-equivalence"));
+    assert!(sweep.pruned_versions > 0, "the sweeps reclaimed history");
+}
+
+#[test]
+fn retention_feed_settles_to_a_bounded_footprint() {
+    // Measured: store 0.1676 and settled disk 0.1691 of the unbounded
+    // side. The bounds leave under 20% headroom.
+    const STORE_RATIO_MAX: f64 = 0.20;
+    const DISK_RATIO_MAX: f64 = 0.20;
+    let sweep = sweep_retention_feed(&scratch("retention-feed-footprint"));
+    let ratio = |(on, off): Footprint| on as f64 / off as f64;
+    assert!(
+        ratio(sweep.store) <= STORE_RATIO_MAX,
+        "store ratio {:.4} ({:?})",
+        ratio(sweep.store),
+        sweep.store
+    );
+    // The settling rebase can only collapse overlapping delta layers.
+    // Without it, the disk ratio reads the mid-cycle 0.5131
+    // (failing_seeds/001).
+    assert!(
+        sweep.settled_disk.0 <= sweep.mid_run_disk.0,
+        "settled {:?} vs mid-run {:?}",
+        sweep.settled_disk,
+        sweep.mid_run_disk
+    );
+    assert!(
+        ratio(sweep.settled_disk) <= DISK_RATIO_MAX,
+        "settled disk ratio {:.4} ({:?})",
+        ratio(sweep.settled_disk),
+        sweep.settled_disk
+    );
+}
+
+#[test]
+fn settled_retention_store_is_smaller_as_a_v2_segment_than_as_text() {
+    // Measured: 92,708 bytes as v2 against 162,018 as text v1. The bound
+    // leaves 20% headroom.
+    const V2_BYTES_MAX: usize = 111_250;
+    let settled = sweep_retention_feed(&scratch("retention-feed-v2")).settled;
+    let mut v2 = Vec::new();
+    settled.save(&mut v2).expect("serialise v2");
+    let v1 = settled.save_to_string();
+    assert_eq!(Ttkv::load(v2.as_slice()).expect("v2 loads"), settled);
+    assert_eq!(Ttkv::load_from_str(&v1).expect("v1 loads"), settled);
+    assert!(
+        v2.len() < v1.len(),
+        "v2 {} vs text v1 {} bytes",
+        v2.len(),
+        v1.len()
+    );
+    assert!(v2.len() <= V2_BYTES_MAX, "v2 {} bytes", v2.len());
+}
+
+#[test]
+fn pinned_sessions_repair_identically_under_retention() {
+    // A repair-service run with the engine's own sweeper and a pinned
+    // concurrent session, against the identical run with retention off.
+    let base = RepairServiceConfig {
+        users: 2,
+        scenario_ids: vec![13, 15],
+        min_catalog_events: u64::MAX,
+        start_bound_days: Some(3),
+        ..RepairServiceConfig::default()
+    };
+    let mut fleet = base.fleet.clone();
+    fleet.machines = 4;
+    fleet.days = 16;
+    fleet.engine.shards = 4;
+    fleet.engine.ingest_threads = 2;
+    let without = ocasta::run_repair_service(&RepairServiceConfig {
+        fleet: fleet.clone(),
+        ..base.clone()
+    })
+    .expect("service runs");
+    fleet.engine.retention = Some(RetentionPolicy {
+        retain: TimeDelta::from_days(5),
+        min_interval: TimeDelta::from_days(1),
+    });
+    let with =
+        ocasta::run_repair_service(&RepairServiceConfig { fleet, ..base }).expect("service runs");
+
+    let retention = with.ingest.retention.expect("policy was set");
+    assert!(retention.sweeps > 0, "the sweeper must have run");
+    let horizon = retention.horizon.expect("swept");
+    assert!(
+        horizon <= with.session_pin,
+        "sweeps may never pass the session pin"
+    );
+    assert!(
+        with.snapshot_stats.approx_bytes < without.snapshot_stats.approx_bytes,
+        "the pinned snapshot must shrink under retention"
+    );
+    assert_eq!(with.sessions.len(), without.sessions.len());
+    for (a, b) in with.sessions.iter().zip(&without.sessions) {
+        assert!(
+            a.report.is_fixed() && b.report.is_fixed(),
+            "sessions repair"
+        );
+        let (oa, ob) = (&a.report.outcome, &b.report.outcome);
+        assert_eq!(
+            oa.fix.as_ref().map(|f| f.version),
+            ob.fix.as_ref().map(|f| f.version)
+        );
+        assert_eq!(oa.trials_to_fix, ob.trials_to_fix);
+        assert_eq!(oa.total_trials, ob.total_trials);
+        assert_eq!(oa.total_screenshots, ob.total_screenshots);
     }
 }

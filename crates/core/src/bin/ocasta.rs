@@ -601,9 +601,8 @@ impl Command {
                 Ok(format!("wrote {output}: {}\n", store.stats()))
             }
             Command::Export { store, output } => {
-                // Loads either format (binary v2 or text v1) and writes the
-                // human-readable text v1 form — the explicit export path now
-                // that `save` defaults to binary segments.
+                // Loads a binary v2 store and writes the human-readable
+                // text v1 dump, which nothing reads back.
                 let store = load_store(store)?;
                 let file = File::create(output).map_err(|e| format!("create {output}: {e}"))?;
                 store
@@ -1640,11 +1639,13 @@ mod tests {
         .run()
         .unwrap();
 
+        // Never compacted: the epoch-0 log alone, and not one finding.
         let out = parse(&["doctor", &wal_str]).unwrap().run().unwrap();
         assert!(out.contains("healthy"), "{out}");
+        assert!(diagnose(&wal).findings.is_empty(), "{out}");
 
         // Flip a byte inside the log's first frame: corruption, non-Ok.
-        let log = wal.join("wal.log");
+        let log = wal.join("wal-0.log");
         let mut bytes = std::fs::read(&log).unwrap();
         let offset = ocasta::WAL_MAGIC.len() + 8 + 2;
         bytes[offset] ^= 0xFF;
@@ -1686,8 +1687,8 @@ mod tests {
             .unwrap();
         assert!(out.contains("wrote"));
 
-        // `replay -o` writes binary v2; `export` turns it back into text v1,
-        // and both load to the same store through magic sniffing.
+        // `replay -o` writes binary v2; `export` dumps that same store as
+        // text v1.
         let store_bytes = std::fs::read(&store_path).unwrap();
         assert!(store_bytes.starts_with(ocasta_ttkv::BINARY_MAGIC));
         let text_path = dir.join("store.txt").to_string_lossy().into_owned();
@@ -1699,8 +1700,8 @@ mod tests {
         let text = std::fs::read_to_string(&text_path).unwrap();
         assert!(text.starts_with("ocasta-ttkv v1"), "text v1 export");
         assert_eq!(
-            Ttkv::load(store_bytes.as_slice()).unwrap(),
-            Ttkv::load_from_str(&text).unwrap(),
+            text,
+            Ttkv::load(store_bytes.as_slice()).unwrap().save_to_string()
         );
 
         let out = parse(&["clusters", &store_path, "--multi-only"])

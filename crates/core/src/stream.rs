@@ -5,8 +5,8 @@
 //! full history, re-read every key's mutations, window, count, cluster.
 //! [`OcastaStream`] keeps the analytics *live*: it absorbs mutation events
 //! as they arrive (straight from a fleet ingestion via
-//! [`ocasta_fleet::WriteLanes`], from a [`ocasta_trace::TraceOp`] stream,
-//! or one event at a time), maintains the co-modification statistics
+//! [`ocasta_fleet::WriteLanes`], in batches of `(key, time)` pairs, or one
+//! event at a time), maintains the co-modification statistics
 //! incrementally, and serves the current clustering at any moment by
 //! running HAC over a snapshot of the live correlation state.
 //!
@@ -28,7 +28,6 @@ use ocasta_cluster::{cluster_correlations, IncrementalCorrelations};
 use ocasta_fleet::WriteLanes;
 use ocasta_obs::Stopwatch;
 use ocasta_repair::{CatalogHorizon, ClusterCatalog};
-use ocasta_trace::TraceOp;
 use ocasta_ttkv::{Key, Timestamp};
 
 use crate::metrics::StreamMetrics;
@@ -161,14 +160,6 @@ impl OcastaStream {
         };
         let time_ms = self.engine.precision().apply(time).as_millis();
         self.incremental.observe(WriteEvent::new(item, time_ms));
-    }
-
-    /// Absorbs one trace op (reads are skipped — they carry no
-    /// co-modification signal).
-    pub fn absorb_op(&mut self, op: &TraceOp) {
-        if let Some(event) = op.as_mutation() {
-            self.absorb_write(&event.key, event.timestamp);
-        }
     }
 
     /// Absorbs a batch of `(key, time)` mutation pairs (the

@@ -165,7 +165,9 @@ proptest! {
     #[test]
     fn persistence_is_transparent_to_clustering(entries in mutations()) {
         let store = build(&entries);
-        let reloaded = Ttkv::load_from_str(&store.save_to_string()).unwrap();
+        let mut bytes = Vec::new();
+        store.save(&mut bytes).unwrap();
+        let reloaded = Ttkv::load(bytes.as_slice()).unwrap();
         let engine = Ocasta::default().with_precision(TimePrecision::Milliseconds);
         let a = engine.cluster_store(&store);
         let b = engine.cluster_store(&reloaded);

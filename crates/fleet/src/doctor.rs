@@ -2,20 +2,20 @@
 //!
 //! [`diagnose`] walks a WAL directory **without opening it for writing**
 //! (and without sweeping anything — unlike [`crate::Wal::open`], it only
-//! reports) and checks everything the layered format promises:
+//! reports) and checks everything the layered format promises. A directory
+//! without a `wal.manifest` is checked as the empty epoch-0 state (no
+//! layers, log `wal-0.log`), exactly as `Wal::open` reads it:
 //!
 //! * **manifest chain health** — magic line, record syntax, bare-filename
 //!   validation, epoch ordering between the manifest and the layer files
 //!   it names, horizon monotonicity across the delta chain;
-//! * **layer integrity** — every referenced base/delta exists, parses as a
-//!   TTKV snapshot, and keeps its collapsed baselines at or below the
+//! * **layer integrity** — every referenced base/delta exists, passes an
+//!   independent structural scan of the binary v2 segment format — magic,
+//!   fixed section order, per-section FNV-1a checksums, a strictly sorted
+//!   intern table, the mandatory end marker, no trailing bytes — decodes
+//!   as a TTKV snapshot, and keeps its collapsed baselines at or below the
 //!   recorded horizon (the horizon-consistency invariant replay relies
-//!   on). Binary v2 layers additionally get an independent structural
-//!   scan — magic, fixed section order, per-section FNV-1a checksums, a
-//!   strictly sorted intern table, the mandatory end marker, no trailing
-//!   bytes — and a text v1 layer inside a manifest chain is reported as
-//!   `layer-format` (informational: it loads read-only and is rewritten
-//!   as v2 by the next compaction);
+//!   on);
 //! * **log integrity** — the framed log's magic and a checksum
 //!   verification of every complete frame, distinguishing a *torn tail*
 //!   (a crash mid-append; recoverable by design, reported as a warning)
@@ -30,16 +30,14 @@
 //!   produce stays a warning;
 //! * **leftovers** — `*.tmp` files from interrupted commits, stale logs
 //!   and unreferenced layers a crashed compaction orphaned (all swept
-//!   automatically by the next `Wal::open`; warnings), and the legacy
-//!   pre-manifest layout (informational).
+//!   automatically by the next `Wal::open`; warnings).
 //!
 //! Findings carry a [`Severity`]: `Error` means replay would fail or
 //! serve wrong state (the CLI exits non-zero); `Warning` means something
-//! needs (automatic) cleanup or lost a torn tail; `Info` is layout
-//! context. A healthy directory produces **no findings at all** — the
-//! torn-tail injection corpus in `tests/doctor.rs` asserts both
-//! directions: every injected damage class is flagged, and undamaged
-//! directories stay silent.
+//! needs (automatic) cleanup or lost a torn tail. A healthy directory
+//! produces **no findings at all** — the torn-tail injection corpus in
+//! `tests/doctor.rs` asserts both directions: every injected damage class
+//! is flagged, and undamaged directories stay silent.
 
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -53,8 +51,6 @@ use crate::wal::{WalError, WalReader, MANIFEST_MAGIC, WAL_MAGIC};
 /// How bad one finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Layout context worth knowing (e.g. a legacy pre-manifest dir).
-    Info,
     /// Recoverable damage or pending cleanup: torn tails, orphans, temp
     /// files. The next `Wal::open` handles these on its own.
     Warning,
@@ -66,7 +62,6 @@ pub enum Severity {
 impl std::fmt::Display for Severity {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Severity::Info => write!(f, "info"),
             Severity::Warning => write!(f, "warning"),
             Severity::Error => write!(f, "ERROR"),
         }
@@ -118,9 +113,9 @@ impl DoctorReport {
         self.findings.iter().any(|f| f.severity == Severity::Error)
     }
 
-    /// `true` when nothing above [`Severity::Info`] was found.
+    /// `true` when nothing at all was found.
     pub fn is_healthy(&self) -> bool {
-        self.findings.iter().all(|f| f.severity == Severity::Info)
+        self.findings.is_empty()
     }
 
     /// Findings of exactly `severity`.
@@ -221,9 +216,18 @@ pub fn diagnose(dir: impl AsRef<Path>) -> DoctorReport {
         });
     }
 
-    let manifest_text = match std::fs::read_to_string(dir.join("wal.manifest")) {
-        Ok(text) => Some(text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+    let manifest = match std::fs::read_to_string(dir.join("wal.manifest")) {
+        Ok(text) => {
+            let manifest = parse_manifest(&text, &mut report);
+            if report.has_errors() {
+                // A manifest we cannot trust makes every downstream check
+                // guesswork; stop at the parse findings.
+                return report;
+            }
+            manifest
+        }
+        // No manifest: the empty epoch-0 state.
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => ParsedManifest::default(),
         Err(e) => {
             report.findings.push(Finding {
                 severity: Severity::Error,
@@ -234,19 +238,7 @@ pub fn diagnose(dir: impl AsRef<Path>) -> DoctorReport {
             return report;
         }
     };
-
-    match manifest_text {
-        None => diagnose_legacy(dir, &entries, &mut report),
-        Some(text) => {
-            let manifest = parse_manifest(&text, &mut report);
-            if report.has_errors() {
-                // A manifest we cannot trust makes every downstream check
-                // guesswork; stop at the parse findings.
-                return report;
-            }
-            diagnose_layered(dir, &entries, &manifest, &mut report);
-        }
-    }
+    diagnose_layered(dir, &entries, &manifest, &mut report);
     report
 }
 
@@ -349,18 +341,14 @@ fn embedded_epoch(name: &str) -> Option<u64> {
     None
 }
 
-/// Checks a committed (layered) directory against its parsed manifest.
+/// Checks a directory against its parsed manifest.
 fn diagnose_layered(
     dir: &Path,
     entries: &BTreeSet<String>,
     manifest: &ParsedManifest,
     report: &mut DoctorReport,
 ) {
-    let log_name = if manifest.epoch == 0 {
-        "wal.log".to_string()
-    } else {
-        format!("wal-{}.log", manifest.epoch)
-    };
+    let log_name = format!("wal-{}.log", manifest.epoch);
 
     // Epoch ordering: no layer (or log) the manifest references may come
     // from a *later* epoch than the manifest itself — the epoch counter is
@@ -470,10 +458,9 @@ fn diagnose_layered(
         if name.ends_with(".tmp") || name == "wal.manifest" {
             continue;
         }
-        let is_log = name == "wal.log" || (name.starts_with("wal-") && name.ends_with(".log"));
-        let is_layer = name == "snapshot.ttkv"
-            || ((name.starts_with("base-") || name.starts_with("delta-"))
-                && name.ends_with(".ttkv"));
+        let is_log = name.starts_with("wal-") && name.ends_with(".log");
+        let is_layer =
+            (name.starts_with("base-") || name.starts_with("delta-")) && name.ends_with(".ttkv");
         if is_log && *name != log_name {
             report.findings.push(Finding {
                 severity: Severity::Warning,
@@ -520,49 +507,6 @@ fn diagnose_layered(
     }
 }
 
-/// Checks a pre-manifest (legacy PR-4 layout) directory.
-fn diagnose_legacy(dir: &Path, entries: &BTreeSet<String>, report: &mut DoctorReport) {
-    let has_snapshot = entries.contains("snapshot.ttkv");
-    let has_log = entries.contains("wal.log");
-    if has_snapshot || has_log {
-        report.findings.push(Finding {
-            severity: Severity::Info,
-            check: "legacy-layout",
-            target: ".".to_string(),
-            detail: "pre-manifest layout (bare snapshot + log); migrates on the first \
-                     pruned compaction"
-                .to_string(),
-        });
-    }
-    if has_snapshot {
-        check_layer(dir, "snapshot.ttkv", None, report);
-    }
-    if has_log {
-        check_log(dir, "wal.log", report);
-    }
-    // Without a manifest, epoch-named files are unreachable by replay.
-    for name in entries {
-        if name.ends_with(".tmp") {
-            continue;
-        }
-        if (name.starts_with("base-") || name.starts_with("delta-")) && name.ends_with(".ttkv") {
-            report.findings.push(Finding {
-                severity: Severity::Warning,
-                check: "layer-orphan",
-                target: name.clone(),
-                detail: "no manifest references this layer (swept once one commits)".to_string(),
-            });
-        } else if name.starts_with("wal-") && name.ends_with(".log") {
-            report.findings.push(Finding {
-                severity: Severity::Warning,
-                check: "log-stale",
-                target: name.clone(),
-                detail: "epoch-named log without a manifest (swept once one commits)".to_string(),
-            });
-        }
-    }
-}
-
 /// Parses one snapshot layer and validates its format and horizon
 /// consistency.
 fn check_layer(dir: &Path, name: &str, horizon: Option<Timestamp>, report: &mut DoctorReport) {
@@ -578,30 +522,20 @@ fn check_layer(dir: &Path, name: &str, horizon: Option<Timestamp>, report: &mut 
             return;
         }
     };
-    if bytes.starts_with(ocasta_ttkv::BINARY_MAGIC) {
-        // Independent structural scan (double-entry bookkeeping, like the
-        // manifest parser): frame walk, checksums, intern table, end marker.
-        match scan_v2_segment(&bytes) {
-            Ok(sections) => report.sections_verified += sections,
-            Err(detail) => {
-                report.findings.push(Finding {
-                    severity: Severity::Error,
-                    check: "layer-corrupt",
-                    target: name.to_string(),
-                    detail,
-                });
-                return;
-            }
+    // Independent structural scan (double-entry bookkeeping, like the
+    // manifest parser): magic, frame walk, checksums, intern table, end
+    // marker.
+    match scan_v2_segment(&bytes) {
+        Ok(sections) => report.sections_verified += sections,
+        Err(detail) => {
+            report.findings.push(Finding {
+                severity: Severity::Error,
+                check: "layer-corrupt",
+                target: name.to_string(),
+                detail,
+            });
+            return;
         }
-    } else if name != "snapshot.ttkv" {
-        // A text v1 layer inside a manifest chain predates the binary
-        // format; it loads read-only and the next compaction rewrites it.
-        report.findings.push(Finding {
-            severity: Severity::Info,
-            check: "layer-format",
-            target: name.to_string(),
-            detail: "text v1 layer; rewritten as binary v2 by the next compaction".to_string(),
-        });
     }
     let store = match Ttkv::load_from_bytes(&bytes) {
         Ok(store) => store,
@@ -633,9 +567,6 @@ fn check_layer(dir: &Path, name: &str, horizon: Option<Timestamp>, report: &mut 
                 target: name.to_string(),
                 detail: format!("baseline at {newest} is beyond the recorded horizon {ceiling}"),
             }),
-            // Legacy snapshots carry no horizon metadata at all; their
-            // baselines are covered by the migration floor, not by us.
-            None if name == "snapshot.ttkv" => {}
             None => report.findings.push(Finding {
                 severity: Severity::Error,
                 check: "layer-horizon",
@@ -652,6 +583,9 @@ fn check_layer(dir: &Path, name: &str, horizon: Option<Timestamp>, report: &mut 
 /// table, an empty end marker, and nothing after it. Returns the number of
 /// checksum-verified sections.
 fn scan_v2_segment(bytes: &[u8]) -> Result<u64, String> {
+    if !bytes.starts_with(ocasta_ttkv::BINARY_MAGIC) {
+        return Err("not a binary v2 segment (missing magic)".to_string());
+    }
     /// Reads one LEB128 varint out of `buf` at `*pos` (bounded at 10 bytes).
     fn varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
         let mut value = 0u64;
@@ -851,7 +785,7 @@ mod tests {
         assert_eq!(embedded_epoch("base-12.ttkv"), Some(12));
         assert_eq!(embedded_epoch("delta-3.ttkv"), Some(3));
         assert_eq!(embedded_epoch("wal-7.log"), Some(7));
-        assert_eq!(embedded_epoch("snapshot.ttkv"), None);
+        assert_eq!(embedded_epoch("wal.manifest"), None);
         assert_eq!(embedded_epoch("base-x.ttkv"), None);
     }
 }

@@ -330,25 +330,6 @@ pub fn ingest_with_wal(
     ingest_inner(machines, config, options)
 }
 
-/// The fully-instrumented engine: optional WAL lane *and* optional tap.
-///
-/// # Errors
-///
-/// Same conditions as [`ingest_with_wal`].
-pub fn ingest_with_wal_and_tap(
-    machines: &[MachineSpec],
-    config: &FleetConfig,
-    wal: &mut Wal,
-    tap: &dyn IngestTap,
-) -> Result<(Ttkv, FleetReport), IngestError> {
-    let options = IngestOptions {
-        wal: Some(wal),
-        tap: Some(tap),
-        ..IngestOptions::default()
-    };
-    ingest_inner(machines, config, options)
-}
-
 /// The general merged-store entry point: bring your own [`IngestOptions`]
 /// (WAL lane, tap, horizon guard, metrics bundle — any combination),
 /// ingest, and merge the shards into one consistent store. The named

@@ -83,8 +83,8 @@ mod wal;
 pub use doctor::{diagnose, DoctorReport, Finding, Severity};
 pub use engine::{
     ingest, ingest_into, ingest_live, ingest_observed, ingest_sequential, ingest_tapped,
-    ingest_with_wal, ingest_with_wal_and_tap, FleetConfig, FleetReport, IngestOptions,
-    KeyPlacement, MachineSpec, RetentionPolicy, RetentionReport,
+    ingest_with_wal, FleetConfig, FleetReport, IngestOptions, KeyPlacement, MachineSpec,
+    RetentionPolicy, RetentionReport,
 };
 pub use fault::{FaultPlan, IngestError};
 pub use metrics::FleetMetrics;

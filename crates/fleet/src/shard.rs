@@ -477,12 +477,6 @@ impl ShardedTtkv {
         }
     }
 
-    /// Mutations buffered in mutable tails (not yet sealed) across all
-    /// shards, for progress reporting; takes each shard lock briefly.
-    pub fn buffered_mutations(&self) -> usize {
-        self.shards.iter().map(|s| lock_stripe(s).tail.len()).sum()
-    }
-
     /// The latest applied-or-buffered mutation timestamp across all shards
     /// — the ingest frontier a retention sweep measures its horizon
     /// against. Takes each shard lock briefly; the answer can lag appends

@@ -80,11 +80,6 @@ impl WriteLanes {
         }
     }
 
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Mutations currently buffered across all lanes (takes each lane lock
     /// briefly; a progress metric, not a synchronisation point).
     pub fn buffered(&self) -> usize {

@@ -34,9 +34,7 @@
 //! current log; the result is equal by construction to the old
 //! replay-everything path (property-tested; `DESIGN.md §5.10`). Every
 //! `rebase_layers` compactions the chain is folded into a fresh base so
-//! disk stays bounded by the retention window. Directories written before
-//! layering existed (a bare `snapshot.ttkv` + `wal.log`) still open and
-//! replay unchanged.
+//! disk stays bounded by the retention window.
 //!
 //! ## The append buffer
 //!
@@ -56,15 +54,14 @@
 //!
 //! Base and delta layers are `ocasta-ttkv binary v2` segments — the same
 //! length-prefixed, FNV-checksummed framing discipline as the log, one
-//! codec seam for everything the fleet persists. Text v1 layers from older
-//! directories load through [`Ttkv::load`]'s magic sniffing.
+//! codec seam for everything the fleet persists.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 
 use ocasta_trace::TraceOp;
-use ocasta_ttkv::{PruneStats, TimeDelta, TimePrecision, Timestamp, Ttkv, TtkvBuilder};
+use ocasta_ttkv::{PruneStats, TimePrecision, Timestamp, Ttkv, TtkvBuilder};
 
 use crate::codec::{decode_op, encode_op, CodecError};
 use crate::hash::fnv1a_32 as fnv1a;
@@ -387,16 +384,12 @@ fn read_chunk<R: Read>(source: &mut R, buf: &mut [u8]) -> Result<ReadStatus, Wal
 ///
 /// ## Layout
 ///
-/// Two on-disk layouts are understood:
-///
-/// * **Legacy** (pre-layering, still written by fresh never-compacted
-///   directories): `wal.log` (framed op stream) and optionally
-///   `snapshot.ttkv` (one full TTKV snapshot). Replay = snapshot + log.
-/// * **Layered** (after the first compaction): a `wal.manifest` naming a
-///   base snapshot, an ordered chain of delta layers with their prune
-///   horizons, and the current log epoch (`wal-<epoch>.log`). Replay =
-///   fold layers oldest→newest, re-prune at the newest horizon, apply the
-///   log.
+/// A `wal.manifest` names a base snapshot, an ordered chain of delta
+/// layers with their prune horizons, and the current log epoch
+/// (`wal-<epoch>.log`). Replay = fold layers oldest→newest, re-prune at
+/// the newest horizon, apply the log. A directory without a manifest is
+/// the empty state at epoch 0: no layers, log `wal-0.log`. Opening one
+/// writes nothing; the first compaction commits the first manifest.
 ///
 /// The manifest rename is the single commit point for every compaction:
 /// a crash at *any* byte of a mid-write delta or base leaves the previous
@@ -426,12 +419,13 @@ pub(crate) const MANIFEST_MAGIC: &str = "ocasta-wal-manifest v1";
 /// a fresh base (see [`Wal::set_rebase_layers`]).
 const DEFAULT_REBASE_LAYERS: usize = 8;
 
-/// The committed layer state of a WAL directory.
+/// The committed layer state of a WAL directory. The default (epoch 0, no
+/// layers) is the state of a directory that holds no `wal.manifest`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Manifest {
-    /// Monotone compaction counter; the current log is `wal-<epoch>.log`
-    /// (or the legacy `wal.log` at epoch 0), and every layer file embeds
-    /// the epoch that created it, so names never collide with orphans.
+    /// Monotone compaction counter; the current log is `wal-<epoch>.log`,
+    /// and every layer file embeds the epoch that created it, so names
+    /// never collide with orphans.
     epoch: u64,
     /// The newest prune horizon any compaction recorded; replay re-prunes
     /// the folded layers here. `None` until a pruned compaction runs.
@@ -441,9 +435,6 @@ struct Manifest {
     /// Delta layer filenames with the horizon each was pruned to, oldest
     /// first.
     deltas: Vec<(String, Timestamp)>,
-    /// `true` once a `wal.manifest` exists on disk; `false` means the
-    /// directory is (still) in the legacy layout.
-    committed: bool,
 }
 
 impl Manifest {
@@ -467,10 +458,7 @@ impl Manifest {
         if lines.next().map(str::trim_end) != Some(MANIFEST_MAGIC) {
             return Err(bad("bad magic"));
         }
-        let mut manifest = Manifest {
-            committed: true,
-            ..Manifest::default()
-        };
+        let mut manifest = Manifest::default();
         let file_name = |token: &str| -> Result<String, WalError> {
             if token.is_empty() || token == "." || token == ".." || token.contains(['/', '\\']) {
                 return Err(bad("layer name must be a bare file name"));
@@ -534,20 +522,16 @@ impl Manifest {
     }
 
     fn log_name(&self) -> String {
-        if self.epoch == 0 {
-            "wal.log".to_string()
-        } else {
-            format!("wal-{}.log", self.epoch)
-        }
+        format!("wal-{}.log", self.epoch)
     }
 }
 
 impl Wal {
     /// Opens (creating if needed) a WAL directory for appending.
     ///
-    /// Reads the manifest if one is committed (falling back to the legacy
-    /// `snapshot.ttkv` + `wal.log` layout otherwise) and sweeps any
-    /// orphaned files a crashed compaction left behind.
+    /// Reads the manifest if one is committed (a directory without one is
+    /// the empty epoch-0 state) and sweeps any orphaned files a crashed
+    /// compaction left behind.
     ///
     /// # Errors
     ///
@@ -573,9 +557,9 @@ impl Wal {
     }
 
     /// Best-effort removal of files no committed state references: temp
-    /// files from any interrupted rename, plus — once a manifest exists —
-    /// stale logs and unreferenced layers from a crash between the
-    /// manifest commit and the old files' deletion.
+    /// files from any interrupted rename, layers written by a compaction
+    /// that crashed before its manifest commit, and stale logs and layers
+    /// from a crash between the commit and the old files' deletion.
     fn sweep_orphans(&self) {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;
@@ -586,13 +570,10 @@ impl Wal {
             let Some(name) = name.to_str() else { continue };
             let stale = if name.ends_with(".tmp") {
                 true
-            } else if !self.manifest.committed {
-                false
-            } else if name == "wal.log" || (name.starts_with("wal-") && name.ends_with(".log")) {
+            } else if name.starts_with("wal-") && name.ends_with(".log") {
                 name != self.manifest.log_name()
-            } else if name == "snapshot.ttkv"
-                || ((name.starts_with("base-") || name.starts_with("delta-"))
-                    && name.ends_with(".ttkv"))
+            } else if (name.starts_with("base-") || name.starts_with("delta-"))
+                && name.ends_with(".ttkv")
             {
                 !referenced.iter().any(|r| r == name)
             } else {
@@ -604,17 +585,9 @@ impl Wal {
         }
     }
 
-    /// Path of the current framed log file (`wal.log` until the first
-    /// compaction commits a manifest, `wal-<epoch>.log` afterwards).
+    /// Path of the current framed log file, `wal-<epoch>.log`.
     pub fn log_path(&self) -> PathBuf {
         self.dir.join(self.manifest.log_name())
-    }
-
-    /// Path of the legacy single-snapshot base (`snapshot.ttkv`). Layered
-    /// directories may keep their base under an epoch-stamped name
-    /// instead; use [`Wal::snapshot_bytes`] for footprint accounting.
-    pub fn snapshot_path(&self) -> PathBuf {
-        self.dir.join("snapshot.ttkv")
     }
 
     /// Total size of the persisted snapshot state in bytes: the base plus
@@ -622,9 +595,6 @@ impl Wal {
     /// [`Wal::log_bytes`]).
     pub fn snapshot_bytes(&self) -> u64 {
         let size = |name: &str| std::fs::metadata(self.dir.join(name)).map_or(0, |m| m.len());
-        if !self.manifest.committed {
-            return size("snapshot.ttkv");
-        }
         self.manifest.base.as_deref().map_or(0, size)
             + self
                 .manifest
@@ -746,20 +716,13 @@ impl Wal {
     /// Folds the committed snapshot layers (everything but the current
     /// log) into one store.
     ///
-    /// Legacy directories load `snapshot.ttkv` verbatim. Layered
-    /// directories fold base + deltas oldest→newest with baselines demoted
-    /// to ordinary versions first — a newer layer's baseline must win
-    /// timestamp ties against older layers' history, the opposite of the
-    /// in-store tie rule — then re-prune once at the manifest horizon,
-    /// re-collapsing every demoted version with ties ranked by true
-    /// arrival order ([`Ttkv::demote_baselines`], `DESIGN.md §5.10`).
+    /// Base + deltas fold oldest→newest with baselines demoted to ordinary
+    /// versions first — a newer layer's baseline must win timestamp ties
+    /// against older layers' history, the opposite of the in-store tie
+    /// rule — then re-prune once at the manifest horizon, re-collapsing
+    /// every demoted version with ties ranked by true arrival order
+    /// ([`Ttkv::demote_baselines`], `DESIGN.md §5.10`).
     fn fold_layers(&self) -> Result<Ttkv, WalError> {
-        if !self.manifest.committed {
-            return match self.load_layer("snapshot.ttkv") {
-                Err(WalError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(Ttkv::new()),
-                loaded => loaded,
-            };
-        }
         let Some(horizon) = self.manifest.horizon else {
             // Only pruned compactions create deltas, so a horizon-less
             // manifest has none (Manifest::decode enforces it; this
@@ -864,9 +827,7 @@ impl Wal {
     /// orphan for [`Wal::open`] to sweep).
     ///
     /// Layers are `ocasta-ttkv binary v2` segments ([`Ttkv::save`]) —
-    /// checksummed with the same FNV-1a as the log frames. Pre-v2 text
-    /// layers still load ([`Ttkv::load`] sniffs the magic) and are
-    /// rewritten in v2 by the next compaction that touches them.
+    /// checksummed with the same FNV-1a as the log frames.
     fn write_layer(&self, name: &str, store: &Ttkv) -> Result<(), WalError> {
         let file = File::create(self.dir.join(name))?;
         let mut writer = BufWriter::new(file);
@@ -917,7 +878,6 @@ impl Wal {
             horizon: self.manifest.horizon,
             base: Some(base),
             deltas: Vec::new(),
-            committed: true,
         })?;
         Ok(store)
     }
@@ -959,8 +919,7 @@ impl Wal {
     ///
     /// The engine's retention sweeper issues exactly one of these when
     /// ingestion completes, so a finished run's disk footprint is a single
-    /// pruned snapshot plus the manifest — the same end state the
-    /// pre-layering format left — while every mid-run sweep stays
+    /// pruned snapshot plus the manifest, while every mid-run sweep stays
     /// O(delta).
     ///
     /// # Errors
@@ -983,7 +942,7 @@ impl Wal {
         let mut ops = self.take_log_ops()?;
         let prior = self.manifest.horizon.unwrap_or(Timestamp::EPOCH);
         let rebase = force_rebase || self.manifest.deltas.len() + 1 > self.rebase_layers;
-        if ops.is_empty() && horizon <= prior && self.manifest.committed {
+        if ops.is_empty() && horizon <= prior {
             // Nothing to reclaim: a complete no-op on persisted bytes —
             // unless this is a forced rebase with a chain left to fold.
             if !force_rebase || self.manifest.deltas.is_empty() {
@@ -993,38 +952,14 @@ impl Wal {
         }
         // Horizons are monotone on disk even if a caller's are not: replay
         // prunes at the recorded maximum, which is what the store-side
-        // sweep has already done. A legacy snapshot (no manifest) was
-        // pruned to an *unknown* horizon; one tick past its newest
-        // baseline is a floor that makes replay's demote step re-collapse
-        // every one of its baselines without touching anything else, so a
-        // shallower post-migration sweep cannot resurrect them as
-        // history.
-        let legacy_floor = if !self.manifest.committed && self.snapshot_path().exists() {
-            self.load_layer("snapshot.ttkv")?
-                .iter()
-                .filter_map(|(_, record)| record.baseline().map(|b| b.timestamp))
-                .max()
-                .map(|t| t + TimeDelta::from_millis(1))
-        } else {
-            None
-        };
-        let horizon = horizon
-            .max(prior)
-            .max(legacy_floor.unwrap_or(Timestamp::EPOCH));
+        // sweep has already done.
+        let horizon = horizon.max(prior);
 
         ops.apply_precision(precision);
         let mut delta = ops.build();
         let stats = delta.prune_before(horizon);
 
         let mut manifest = self.manifest.clone();
-        if !manifest.committed {
-            // Legacy-layout migration: the bare snapshot (if any) becomes
-            // the chain's base under its existing name.
-            manifest.committed = true;
-            if self.snapshot_path().exists() {
-                manifest.base = Some("snapshot.ttkv".to_string());
-            }
-        }
         manifest.horizon = Some(horizon);
         if delta.is_empty() && !rebase {
             // Nothing new to fold: record the deeper horizon (replay must
@@ -1223,7 +1158,7 @@ mod tests {
             wal.flush().unwrap();
         }
         // Simulate a crash mid-append: cut the final frame in half.
-        let log = dir.join("wal.log");
+        let log = dir.join("wal-0.log");
         let full = std::fs::metadata(&log).unwrap().len();
         OpenOptions::new()
             .write(true)
@@ -1424,39 +1359,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_layout_migrates_on_first_pruned_compaction() {
-        // A PR-4-era directory: bare snapshot.ttkv + wal.log, no manifest.
-        let dir = std::env::temp_dir().join(format!("ocasta-wal-legacy-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut legacy = Ttkv::new();
-        legacy.write(Timestamp::from_millis(500), "app/old", Value::from(1));
-        legacy.write(Timestamp::from_millis(1_500), "app/old", Value::from(2));
-        std::fs::write(dir.join("snapshot.ttkv"), legacy.save_to_string()).unwrap();
-        {
-            let mut wal = Wal::open(&dir).unwrap();
-            wal.append(&sample_ops()).unwrap();
-            wal.flush().unwrap();
-        }
-        // Pre-migration replay equals snapshot + log, verbatim.
-        let mut wal = Wal::open(&dir).unwrap();
-        let before = wal.replay(TimePrecision::Milliseconds).unwrap();
-        assert_eq!(before.stats().writes, 4);
-
-        let horizon = Timestamp::from_millis(1_000);
-        wal.compact_pruned(TimePrecision::Milliseconds, horizon)
-            .unwrap();
-        assert!(dir.join("wal.manifest").exists(), "migrated to layered");
-        let mut expected = before.clone();
-        expected.prune_before(horizon);
-        let after = wal.replay(TimePrecision::Milliseconds).unwrap();
-        assert_eq!(after, expected);
-        // The legacy base is still the chain's base file.
-        assert!(dir.join("snapshot.ttkv").exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn full_compact_keeps_the_horizon_floor_against_shallower_sweeps() {
         // Regression: `compact()` used to clear the manifest horizon, so a
         // later `compact_pruned` at a *shallower* horizon re-clamped
@@ -1495,50 +1397,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_migration_covers_the_old_snapshots_unknown_prune_depth() {
-        // Regression: a legacy snapshot pruned to a deep horizon, migrated
-        // by a *shallower* sweep, used to have its baselines demoted and
-        // left exposed as history on replay.
-        let dir =
-            std::env::temp_dir().join(format!("ocasta-wal-legacy-floor-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut legacy = Ttkv::new();
-        legacy.write(Timestamp::from_millis(1_000), "app/k", Value::from(1));
-        legacy.write(Timestamp::from_millis(3_000), "app/k", Value::from(3));
-        legacy.write(Timestamp::from_millis(6_000), "app/k", Value::from(6));
-        legacy.prune_before(Timestamp::from_millis(5_000));
-        std::fs::write(dir.join("snapshot.ttkv"), legacy.save_to_string()).unwrap();
-
-        let mut wal = Wal::open(&dir).unwrap();
-        wal.append(&[TraceOp::Mutation(AccessEvent::write(
-            Timestamp::from_millis(7_000),
-            "app/k",
-            Value::from(7),
-        ))])
-        .unwrap();
-        wal.compact_pruned(TimePrecision::Milliseconds, Timestamp::from_millis(2_000))
-            .unwrap();
-        let replayed = wal.replay(TimePrecision::Milliseconds).unwrap();
-        let record = replayed.record("app/k").unwrap();
-        assert_eq!(
-            record.baseline(),
-            Some(&ocasta_ttkv::Version::write(
-                Timestamp::from_millis(3_000),
-                Value::from(3)
-            )),
-            "the legacy baseline must stay collapsed"
-        );
-        let times: Vec<_> = record.mutation_times().collect();
-        assert_eq!(
-            times,
-            vec![Timestamp::from_millis(6_000), Timestamp::from_millis(7_000)],
-            "no resurrected legacy mutation"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn manifest_roundtrips_and_rejects_garbage() {
         let manifest = Manifest {
             epoch: 7,
@@ -1548,7 +1406,6 @@ mod tests {
                 ("delta-5.ttkv".into(), Timestamp::from_millis(100_000)),
                 ("delta-7.ttkv".into(), Timestamp::from_millis(123_456)),
             ],
-            committed: true,
         };
         let decoded = Manifest::decode(&manifest.encode()).unwrap();
         assert_eq!(decoded, manifest);
@@ -1825,7 +1682,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ocasta-wal-huge-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+        std::fs::write(dir.join("wal-0.log"), &bytes).unwrap();
         let mut wal = Wal::open(&dir).unwrap();
         let extra = TraceOp::Mutation(AccessEvent::write(
             Timestamp::from_millis(9_999),
@@ -1835,7 +1692,7 @@ mod tests {
         wal.append(std::slice::from_ref(&extra)).unwrap();
         wal.flush().unwrap();
         let mut reader =
-            WalReader::new(BufReader::new(File::open(dir.join("wal.log")).unwrap())).unwrap();
+            WalReader::new(BufReader::new(File::open(dir.join("wal-0.log")).unwrap())).unwrap();
         let mut expected = sample_ops();
         expected.push(extra);
         assert_eq!(reader.read_all().unwrap(), expected);

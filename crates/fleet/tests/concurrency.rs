@@ -166,7 +166,7 @@ fn engine_wal_is_a_clean_frame_stream() {
     let (_, report) = ingest_with_wal(&machines, &FleetConfig::default(), &mut wal).unwrap();
     drop(wal);
 
-    let file = std::fs::File::open(dir.join("wal.log")).unwrap();
+    let file = std::fs::File::open(dir.join("wal-0.log")).unwrap();
     let mut reader = WalReader::new(std::io::BufReader::new(file)).unwrap();
     let ops = reader.read_all().unwrap();
     assert!(!reader.torn_tail());

@@ -1,7 +1,7 @@
 //! Injection corpus for the offline doctor: every damage class the WAL
 //! layer defends against must be *flagged* by [`diagnose`], and every
-//! healthy directory — legacy or layered, mid-epoch or freshly compacted —
-//! must come back with **zero** warnings and errors. The corpus mirrors
+//! healthy directory — never compacted, mid-epoch or freshly compacted —
+//! must come back with **zero** findings. The corpus mirrors
 //! `tests/torn_tail.rs`: exhaustive byte-offset log truncation, mid-write
 //! delta truncation, manifest-temp cuts, stale logs, plus manifest-level
 //! damage (bad magic, epoch/horizon inversions, non-bare names, missing
@@ -125,35 +125,15 @@ fn healthy_multi_delta_chain_has_zero_findings() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn healthy_legacy_directory_reports_only_layout_info() {
-    let dir = scratch("healthy-legacy");
-    let mut store = Ttkv::new();
-    for op in batches().concat() {
-        op.apply(&mut store, TimePrecision::Milliseconds);
-    }
-    let mut bytes = Vec::new();
-    store.save(&mut bytes).unwrap();
-    std::fs::write(dir.join("snapshot.ttkv"), bytes).unwrap();
-    std::fs::write(dir.join("wal.log"), encoded()).unwrap();
-
-    let report = diagnose(&dir);
-    assert!(report.is_healthy(), "{report}");
-    assert_eq!(checks(&report, Severity::Info), vec!["legacy-layout"]);
-    assert_eq!(report.layers_verified, 1);
-    assert_eq!(report.frames_verified, 3);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Every byte-offset truncation of the current log: frame-boundary cuts are
-/// healthy, all other cuts are exactly one `log-torn` warning — never an
-/// error, never a second finding.
+/// Every byte-offset truncation of a never-compacted directory's log:
+/// frame-boundary cuts have zero findings, all other cuts are exactly one
+/// `log-torn` warning — never an error, never a second finding.
 #[test]
 fn every_log_truncation_is_flagged_as_torn_and_nothing_else() {
     let bytes = encoded();
     let boundaries = frame_boundaries(&bytes);
     let dir = scratch("log-cuts");
-    let log = dir.join("wal.log");
+    let log = dir.join("wal-0.log");
 
     for cut in 0..=bytes.len() {
         std::fs::write(&log, &bytes[..cut]).unwrap();
@@ -161,10 +141,7 @@ fn every_log_truncation_is_flagged_as_torn_and_nothing_else() {
         assert!(!report.has_errors(), "cut {cut}: {report}");
         let clean = cut >= WAL_MAGIC.len() && (cut == WAL_MAGIC.len() || boundaries.contains(&cut));
         if clean {
-            // A bare log is the legacy layout: an Info finding, nothing
-            // above it.
-            assert!(report.is_healthy(), "cut {cut}: {report}");
-            assert!(checks(&report, Severity::Warning).is_empty(), "cut {cut}");
+            assert!(report.findings.is_empty(), "cut {cut}: {report}");
         } else {
             assert_eq!(
                 checks(&report, Severity::Warning),
@@ -185,7 +162,7 @@ fn checksum_flip_in_a_complete_frame_is_a_corruption_error() {
     let offset = WAL_MAGIC.len() + 8 + 2;
     bytes[offset] ^= 0xFF;
     let dir = scratch("checksum-flip");
-    std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+    std::fs::write(dir.join("wal-0.log"), &bytes).unwrap();
 
     let report = diagnose(&dir);
     assert!(report.has_errors(), "{report}");
@@ -255,7 +232,7 @@ fn stale_superseded_log_is_a_warning() {
     let dir = layered_dir("stale-log");
     // The layered dir is at epoch 1 with wal-1.log; plant a pre-compaction
     // leftover.
-    std::fs::write(dir.join("wal.log"), encoded()).unwrap();
+    std::fs::write(dir.join("wal-0.log"), encoded()).unwrap();
     let report = diagnose(&dir);
     assert!(!report.has_errors(), "{report}");
     assert_eq!(checks(&report, Severity::Warning), vec!["log-stale"]);
@@ -388,17 +365,23 @@ fn orphan_one_generation_past_the_manifest_stays_a_warning() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Without a manifest the directory is the epoch-0 state, so a layer from
+/// epoch 1 is what a first compaction that crashed before its commit
+/// leaves: a warning, and `Wal::open` sweeps it.
 #[test]
-fn legacy_directory_with_epoch_named_leftovers_warns() {
-    let dir = scratch("legacy-leftovers");
-    std::fs::write(dir.join("wal.log"), encoded()).unwrap();
-    std::fs::write(dir.join("delta-4.ttkv"), b"whatever").unwrap();
-    std::fs::write(dir.join("wal-4.log"), b"whatever").unwrap();
+fn epoch_one_orphan_without_a_manifest_warns_and_is_swept_on_open() {
+    let dir = scratch("no-manifest-orphan");
+    std::fs::write(dir.join("wal-0.log"), encoded()).unwrap();
+    std::fs::write(dir.join("delta-1.ttkv"), b"whatever").unwrap();
     let report = diagnose(&dir);
     assert!(!report.has_errors(), "{report}");
-    let mut warnings = checks(&report, Severity::Warning);
-    warnings.sort_unstable();
-    assert_eq!(warnings, vec!["layer-orphan", "log-stale"], "{report}");
+    assert_eq!(checks(&report, Severity::Warning), vec!["layer-orphan"]);
+
+    drop(Wal::open(&dir).unwrap());
+    assert!(!dir.join("delta-1.ttkv").exists(), "swept on open");
+    let report = diagnose(&dir);
+    assert!(report.findings.is_empty(), "{report}");
+    assert_eq!(report.frames_verified, 3, "{report}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -452,9 +435,9 @@ fn flipped_byte_in_v2_layer_is_a_checksum_error() {
 }
 
 #[test]
-fn text_v1_referenced_layer_is_a_format_info() {
-    // A manifest chain carrying a pre-v2 text layer still loads (read-only
-    // import path) but the doctor points it out as `layer-format`.
+fn text_v1_referenced_layer_is_corrupt() {
+    // Only binary v2 segments load: a text v1 export in a manifest chain is
+    // a layer replay cannot read.
     let dir = layered_dir("v1-layer");
     let layer = std::fs::read_dir(&dir)
         .unwrap()
@@ -464,7 +447,7 @@ fn text_v1_referenced_layer_is_a_format_info() {
     let store = Ttkv::load(std::fs::read(dir.join(&layer)).unwrap().as_slice()).unwrap();
     std::fs::write(dir.join(&layer), store.save_to_string()).unwrap();
     let report = diagnose(&dir);
-    assert!(report.is_healthy(), "a v1 layer is not damage: {report}");
-    assert_eq!(checks(&report, Severity::Info), vec!["layer-format"]);
+    assert!(report.has_errors(), "{report}");
+    assert_eq!(checks(&report, Severity::Error), vec!["layer-corrupt"]);
     std::fs::remove_dir_all(&dir).ok();
 }

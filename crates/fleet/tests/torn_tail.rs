@@ -142,7 +142,7 @@ fn every_tail_frame_truncation_reopens_appends_and_replays() {
     // end is a clean log, covered by the resume tests).
     for cut in tail_start..bytes.len() {
         std::fs::create_dir_all(&dir).unwrap();
-        let log = dir.join("wal.log");
+        let log = dir.join("wal-0.log");
         std::fs::write(&log, &bytes[..cut]).unwrap();
 
         // Reopening must truncate the torn tail, then append reachably.
@@ -305,7 +305,7 @@ fn truncation_inside_the_magic_resets_the_file_on_reopen() {
     let dir = std::env::temp_dir().join(format!("ocasta-wal-magic-torn-{}", std::process::id()));
     for cut in 1..WAL_MAGIC.len() {
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("wal.log"), &bytes[..cut]).unwrap();
+        std::fs::write(dir.join("wal-0.log"), &bytes[..cut]).unwrap();
         let mut wal = Wal::open(&dir).unwrap();
         let op = TraceOp::Mutation(AccessEvent::write(
             Timestamp::from_millis(1),

@@ -1,8 +1,8 @@
 //! Token codec for [`Value`]s: a compact, lossless, whitespace-free text
-//! encoding shared by the TTKV text (v1) persistence format and the trace
-//! file format. The default on-disk store format is the binary v2 segment
-//! (`persist_v2.rs`), which carries values in the binary tag space instead;
-//! this text codec remains the import/export and trace-file encoding.
+//! encoding shared by the TTKV text (v1) export and the trace file format.
+//! The on-disk store format is the binary v2 segment (`persist_v2.rs`),
+//! which carries values in the binary tag space instead; this text codec
+//! remains the export and trace-file encoding.
 //!
 //! Encoding: `n` (null), `b0`/`b1` (bool), `i<dec>` (int), `f<hex bits>`
 //! (float, bit-exact), `s<escaped>` (string; backslash-escapes whitespace),

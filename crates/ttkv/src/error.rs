@@ -8,7 +8,7 @@ use std::io;
 pub enum TtkvError {
     /// The underlying reader or writer failed.
     Io(io::Error),
-    /// The persisted text (v1) representation was malformed.
+    /// A line-oriented text input (a trace file) was malformed.
     Parse {
         /// 1-based line number where parsing failed.
         line: usize,
@@ -25,13 +25,6 @@ pub enum TtkvError {
 }
 
 impl TtkvError {
-    pub(crate) fn parse(line: usize, message: impl Into<String>) -> Self {
-        TtkvError::Parse {
-            line,
-            message: message.into(),
-        }
-    }
-
     pub(crate) fn corrupt(offset: usize, message: impl Into<String>) -> Self {
         TtkvError::Corrupt {
             offset,
@@ -76,7 +69,10 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = TtkvError::parse(3, "bad token");
+        let e = TtkvError::Parse {
+            line: 3,
+            message: "bad token".into(),
+        };
         assert_eq!(e.to_string(), "malformed ttkv data at line 3: bad token");
         let c = TtkvError::corrupt(17, "checksum mismatch");
         assert_eq!(

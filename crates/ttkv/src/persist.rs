@@ -1,16 +1,10 @@
-//! Text (v1) persistence for the TTKV — a read-only import path plus an
-//! explicit export.
+//! Text (v1) export for the TTKV: a write-only, human-readable dump.
 //!
-//! Since the binary v2 format landed (`persist_v2.rs`), [`Ttkv::save`] writes
-//! checksummed binary segments and this module's writer is only reached
+//! [`Ttkv::save`] writes checksummed binary v2 segments (`persist_v2.rs`),
+//! and [`Ttkv::load`] reads only those. This module's writer is reached
 //! through [`Ttkv::save_text`] / [`Ttkv::save_to_string`] (the `ocasta
-//! export` path). [`Ttkv::load`] sniffs the magic line and still accepts v1
-//! files, so stores written before v2 keep loading unchanged.
-//!
-//! The store serialises to a line-oriented UTF-8 format so recorded histories
-//! can be saved between sessions, shipped between machines (the paper merges
-//! per-user traces from several lab computers) and inspected with ordinary
-//! text tools:
+//! export` path), so a recorded history can be inspected with ordinary text
+//! tools. Nothing reads the format back.
 //!
 //! ```text
 //! ocasta-ttkv v1
@@ -26,22 +20,15 @@
 //! whitespace so every token is space-delimited.
 //!
 //! The `writes=`/`deletes=` fields and the `b`/`bd` (prune-baseline,
-//! live/dead) records are retention additions: a pruned store's lifetime
+//! live/dead) records carry retention state: a pruned store's lifetime
 //! counters exceed what its surviving history implies, and the collapsed
-//! pre-horizon state is a baseline, not a mutation. All are optional on
-//! load, so files written before retention existed still parse (their
-//! counters are derived from the history lines, which is exact for
-//! unpruned stores).
+//! pre-horizon state is a baseline, not a mutation.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
-use crate::codec::{decode_value, encode_value, escape, unescape};
+use crate::codec::{encode_value, escape};
 use crate::error::TtkvError;
-use crate::record::KeyRecord;
 use crate::store::Ttkv;
-use crate::time::Timestamp;
-#[cfg(test)]
-use crate::value::Value;
 
 const MAGIC: &str = "ocasta-ttkv v1";
 
@@ -97,149 +84,14 @@ impl Ttkv {
             .expect("writing to a Vec cannot fail");
         String::from_utf8(buf).expect("text persist format is UTF-8")
     }
-
-    /// Reads a store from the line-oriented text v1 format.
-    ///
-    /// Callers normally go through [`Ttkv::load`], which sniffs the magic and
-    /// dispatches here for v1 files. Reads are restored as counters on the
-    /// key they belong to; per-read timestamps are not persisted (matching
-    /// what the deployed system kept).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TtkvError::Io`] if the reader fails and [`TtkvError::Parse`]
-    /// if the content is not valid TTKV text data.
-    pub(crate) fn load_text<R: BufRead>(reader: R) -> Result<Ttkv, TtkvError> {
-        /// One key's record being assembled from consecutive lines.
-        struct Pending {
-            key: crate::Key,
-            record: KeyRecord,
-            reads: u64,
-            /// Explicit `writes=`/`deletes=` from the `k` line; derived
-            /// from the history lines when absent (pre-retention files).
-            counters: Option<(u64, u64)>,
-        }
-        fn finish(store: &mut Ttkv, pending: Option<Pending>) {
-            if let Some(p) = pending {
-                let mut record = p.record;
-                let (writes, deletes) = p.counters.unwrap_or((record.writes, record.deletes));
-                record.set_counters(p.reads, writes, deletes);
-                store.insert_record(p.key, record);
-            }
-        }
-
-        let mut store = Ttkv::new();
-        let mut pending: Option<Pending> = None;
-        let mut lines = reader.lines();
-        let first = lines
-            .next()
-            .transpose()?
-            .ok_or_else(|| TtkvError::parse(1, "empty input"))?;
-        if first.trim_end() != MAGIC {
-            return Err(TtkvError::parse(1, format!("bad magic {first:?}")));
-        }
-        for (idx, line) in lines.enumerate() {
-            let lineno = idx + 2;
-            let line = line?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            let mut tokens = line.split(' ');
-            match tokens.next() {
-                Some("k") => {
-                    finish(&mut store, pending.take());
-                    let raw = tokens
-                        .next()
-                        .ok_or_else(|| TtkvError::parse(lineno, "missing key name"))?;
-                    let name = unescape(raw).map_err(|e| TtkvError::parse(lineno, e))?;
-                    let mut reads = None;
-                    let mut writes = None;
-                    let mut deletes = None;
-                    for token in tokens {
-                        let (field, slot) = if let Some(v) = token.strip_prefix("reads=") {
-                            (v, &mut reads)
-                        } else if let Some(v) = token.strip_prefix("writes=") {
-                            (v, &mut writes)
-                        } else if let Some(v) = token.strip_prefix("deletes=") {
-                            (v, &mut deletes)
-                        } else {
-                            return Err(TtkvError::parse(
-                                lineno,
-                                format!("unknown key field {token:?}"),
-                            ));
-                        };
-                        *slot =
-                            Some(field.parse::<u64>().map_err(|e| {
-                                TtkvError::parse(lineno, format!("bad counter: {e}"))
-                            })?);
-                    }
-                    let reads =
-                        reads.ok_or_else(|| TtkvError::parse(lineno, "missing reads= field"))?;
-                    pending = Some(Pending {
-                        key: crate::Key::new(name),
-                        record: KeyRecord::new(),
-                        reads,
-                        counters: match (writes, deletes) {
-                            (Some(w), Some(d)) => Some((w, d)),
-                            _ => None,
-                        },
-                    });
-                }
-                Some(op @ ("w" | "d" | "b" | "bd")) => {
-                    let entry = pending
-                        .as_mut()
-                        .ok_or_else(|| TtkvError::parse(lineno, "mutation before any key"))?;
-                    let ts = tokens
-                        .next()
-                        .ok_or_else(|| TtkvError::parse(lineno, "missing timestamp"))?
-                        .parse::<u64>()
-                        .map_err(|e| TtkvError::parse(lineno, format!("bad timestamp: {e}")))?;
-                    let t = Timestamp::from_millis(ts);
-                    match op {
-                        "w" => {
-                            let value = decode_value(&mut tokens)
-                                .map_err(|e| TtkvError::parse(lineno, e))?;
-                            entry
-                                .record
-                                .record_mutation(crate::Version::write(t, value));
-                        }
-                        "d" => entry.record.record_mutation(crate::Version::tombstone(t)),
-                        "b" => {
-                            let value = decode_value(&mut tokens)
-                                .map_err(|e| TtkvError::parse(lineno, e))?;
-                            entry.record.set_baseline(crate::Version::write(t, value));
-                        }
-                        _ => entry.record.set_baseline(crate::Version::tombstone(t)),
-                    }
-                }
-                Some(other) => {
-                    return Err(TtkvError::parse(
-                        lineno,
-                        format!("unknown record {other:?}"),
-                    ));
-                }
-                None => unreachable!("split always yields at least one token"),
-            }
-        }
-        finish(&mut store, pending);
-        Ok(store)
-    }
-
-    /// Reads a store from an in-memory string (text v1; binary v2 segments
-    /// are not valid UTF-8 and arrive via [`Ttkv::load_from_bytes`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ttkv::load`].
-    pub fn load_from_str(data: &str) -> Result<Ttkv, TtkvError> {
-        Ttkv::load_from_bytes(data.as_bytes())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_value, unescape};
+    use crate::time::Timestamp;
+    use crate::value::Value;
     use crate::{Key, TimeDelta};
 
     fn sample_store() -> Ttkv {
@@ -259,12 +111,42 @@ mod tests {
         store
     }
 
+    /// Reads `store`'s export back beside the store itself: each key line
+    /// unescapes to its key and carries its counters, and each history line
+    /// decodes, through the token codec the trace loader shares, to its
+    /// version. Unpruned stores only; the golden below pins baselines.
+    fn assert_export_reads_back(store: &Ttkv) {
+        let text = store.save_to_string();
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some(MAGIC));
+        for (key, record) in store.iter() {
+            assert!(record.baseline().is_none(), "unpruned stores only");
+            let mut tokens = lines.next().expect("key line").split(' ');
+            assert_eq!(tokens.next(), Some("k"));
+            assert_eq!(unescape(tokens.next().unwrap()).unwrap(), key.as_str());
+            let counters = format!(
+                "reads={} writes={} deletes={}",
+                record.reads, record.writes, record.deletes
+            );
+            assert_eq!(tokens.collect::<Vec<_>>().join(" "), counters);
+            for version in record.history() {
+                let mut tokens = lines.next().expect("history line").split(' ');
+                let op = if version.value.is_some() { "w" } else { "d" };
+                assert_eq!(tokens.next(), Some(op));
+                let millis = tokens.next().unwrap().parse::<u64>().unwrap();
+                assert_eq!(millis, version.timestamp.as_millis());
+                if let Some(value) = &version.value {
+                    assert_eq!(&decode_value(&mut tokens).unwrap(), value);
+                }
+                assert_eq!(tokens.next(), None, "trailing tokens");
+            }
+        }
+        assert_eq!(lines.next(), None, "lines past the last key");
+    }
+
     #[test]
     fn roundtrip_preserves_store() {
-        let store = sample_store();
-        let text = store.save_to_string();
-        let loaded = Ttkv::load_from_str(&text).unwrap();
-        assert_eq!(store, loaded);
+        assert_export_reads_back(&sample_store());
     }
 
     #[test]
@@ -277,72 +159,61 @@ mod tests {
                 Value::Float(*f),
             );
         }
-        let loaded = Ttkv::load_from_str(&store.save_to_string()).unwrap();
-        assert_eq!(store, loaded);
+        assert_export_reads_back(&store);
     }
 
     #[test]
     fn escaping_handles_tricky_strings() {
         let tricky = "line1\nline2\ttab \\slash space";
         assert_eq!(unescape(&escape(tricky)).unwrap(), tricky);
+    }
+
+    /// The writer's fidelity check: a pruned store with live and dead
+    /// baselines, an escaped key, a list and floats renders exactly as
+    /// below.
+    #[test]
+    fn pruned_store_text_matches_golden() {
+        let t = Timestamp::from_secs;
         let mut store = Ttkv::new();
-        store.write(Timestamp::EPOCH, Key::new(tricky), Value::from(tricky));
-        let loaded = Ttkv::load_from_str(&store.save_to_string()).unwrap();
-        assert_eq!(store, loaded);
-    }
-
-    #[test]
-    fn pruned_store_roundtrips_baseline_and_counters() {
-        let mut store = sample_store();
-        store.write(Timestamp::from_secs(200), "app/flag", Value::from(false));
-        store.prune_before(Timestamp::from_secs(150));
-        let text = store.save_to_string();
-        assert!(text.contains("\nb "), "live baseline emitted: {text}");
-        // `app/count` ended in a pre-horizon tombstone: dead baseline.
-        assert!(text.contains("\nbd "), "dead baseline emitted: {text}");
-        let loaded = Ttkv::load_from_str(&text).unwrap();
-        assert_eq!(store, loaded);
-        // Lifetime counters survived even where history was collapsed.
-        assert_eq!(loaded.stats().writes, store.stats().writes);
-        assert_eq!(
-            loaded.value_at("app/ratio", Timestamp::from_secs(150)),
-            Some(&Value::from(0.25)),
+        store.read("app/a key with spaces");
+        store.write(t(100), "app/a key with spaces", Value::from("hello world"));
+        store.write(t(300), "app/a key with spaces", Value::from("tab\there"));
+        store.write(t(105), "app/count", Value::from(42));
+        store.delete(t(109), "app/count");
+        store.write(t(106), "app/ratio", Value::from(0.25));
+        store.write(t(250), "app/ratio", Value::Float(-1.5));
+        store.write(
+            t(260),
+            "app/list",
+            Value::List(vec![Value::from("a b"), Value::from(1), Value::Null]),
         );
-    }
-
-    #[test]
-    fn pre_retention_files_without_counter_fields_still_load() {
-        let text = "ocasta-ttkv v1\nk app/a reads=2\nw 1000 i7\nd 2000\n";
-        let store = Ttkv::load_from_str(text).unwrap();
-        let record = store.record("app/a").unwrap();
-        assert_eq!(record.reads, 2);
-        assert_eq!(record.writes, 1, "derived from history");
-        assert_eq!(record.deletes, 1);
-        assert_eq!(store.stats().reads, 2);
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = Ttkv::load_from_str("not-a-ttkv\n").unwrap_err();
-        assert!(matches!(err, TtkvError::Parse { line: 1, .. }));
-    }
-
-    #[test]
-    fn rejects_mutation_before_key() {
-        let err = Ttkv::load_from_str("ocasta-ttkv v1\nw 5 i1\n").unwrap_err();
-        assert!(matches!(err, TtkvError::Parse { line: 2, .. }));
-    }
-
-    #[test]
-    fn rejects_truncated_list() {
-        let err = Ttkv::load_from_str("ocasta-ttkv v1\nk a reads=0\nw 5 l3 i1 i2\n").unwrap_err();
-        assert!(err.to_string().contains("missing value token"));
+        store.write(t(110), "app/flag", Value::from(true));
+        store.write(t(200), "app/flag", Value::from(false));
+        store.delete(t(400), "app/flag");
+        store.prune_before(t(150));
+        let golden = "\
+ocasta-ttkv v1
+k app/a\\skey\\swith\\sspaces reads=1 writes=2 deletes=0
+b 100000 shello\\sworld
+w 300000 stab\\there
+k app/count reads=0 writes=1 deletes=1
+bd 109000
+k app/flag reads=0 writes=2 deletes=1
+b 110000 b1
+w 200000 b0
+d 400000
+k app/list reads=0 writes=1 deletes=0
+w 260000 l3 sa\\sb i1 n
+k app/ratio reads=0 writes=2 deletes=0
+b 106000 f3fd0000000000000
+w 250000 fbff8000000000000
+";
+        assert_eq!(store.save_to_string(), golden);
     }
 
     #[test]
     fn empty_store_roundtrips() {
-        let store = Ttkv::new();
-        let loaded = Ttkv::load_from_str(&store.save_to_string()).unwrap();
-        assert!(loaded.is_empty());
+        assert_eq!(Ttkv::new().save_to_string(), format!("{MAGIC}\n"));
+        assert_export_reads_back(&Ttkv::new());
     }
 }

@@ -1,9 +1,9 @@
 //! `ocasta-ttkv binary v2` — the checksummed binary segment format.
 //!
-//! This is the format [`Ttkv::save`] writes and the one the fleet WAL chain
-//! uses for its base/delta snapshot layers; the line-oriented text v1 format
-//! (`persist.rs`) remains a read-only import path plus an explicit export for
-//! humans. One segment is:
+//! This is the one format [`Ttkv::save`] writes and [`Ttkv::load`] reads,
+//! and the one the fleet WAL chain uses for its base/delta snapshot layers;
+//! the line-oriented text v1 format (`persist.rs`) is a write-only export
+//! for humans. One segment is:
 //!
 //! ```text
 //! segment  := magic section*                  magic = "ocasta-ttkv binary v2\n"
@@ -38,9 +38,8 @@
 //!   order, so equal stores serialise to identical bytes — the property the
 //!   deterministic simulation (vopr) and the layered-replay equivalence
 //!   tests lean on.
-//! * **Version sniffing.** [`Ttkv::load`] reads the input fully, dispatches
-//!   on the magic prefix, and falls back to the text v1 parser, so pre-v2
-//!   files keep loading through the same entry point.
+//! * **One decoder.** Input without the magic prefix — a text v1 export
+//!   included — fails with [`TtkvError::Corrupt`] at offset 0.
 //!
 //! The checksum is the same FNV-1a the fleet WAL frames use
 //! ([`crate::hash::fnv1a_32`]) — snapshots and the WAL share one seam.
@@ -223,15 +222,13 @@ impl Ttkv {
         Ok(())
     }
 
-    /// Reads a store written by either [`Ttkv::save`] (binary v2) or the
-    /// text v1 writer ([`Ttkv::save_text`]), sniffing the version from the
-    /// magic prefix.
+    /// Reads a store written by [`Ttkv::save`].
     ///
     /// # Errors
     ///
-    /// Returns [`TtkvError::Io`] if the reader fails, [`TtkvError::Corrupt`]
-    /// if a v2 segment is torn or corrupt, and [`TtkvError::Parse`] if text
-    /// v1 content is malformed.
+    /// Returns [`TtkvError::Io`] if the reader fails, and
+    /// [`TtkvError::Corrupt`] if the input is not a binary v2 segment or is
+    /// torn or corrupt.
     pub fn load<R: BufRead>(mut reader: R) -> Result<Ttkv, TtkvError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;
@@ -239,18 +236,14 @@ impl Ttkv {
     }
 
     /// Decodes a store from bytes already in memory (for example a whole
-    /// file from [`std::fs::read`]), sniffing the version like
-    /// [`Ttkv::load`] but without copying the input.
+    /// file from [`std::fs::read`]), like [`Ttkv::load`] but without
+    /// copying the input.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Ttkv::load`], minus reader failures.
     pub fn load_from_bytes(bytes: &[u8]) -> Result<Ttkv, TtkvError> {
-        if bytes.starts_with(BINARY_MAGIC) {
-            decode_segment(bytes)
-        } else {
-            Ttkv::load_text(bytes)
-        }
+        decode_segment(bytes)
     }
 }
 
@@ -429,8 +422,7 @@ fn read_section<'a>(r: &mut Reader<'a>, expect_tag: u8) -> Result<(Reader<'a>, u
     Ok((Reader::new(payload, payload_at), payload_at))
 }
 
-/// Decodes a full binary v2 segment (magic already sniffed by the caller,
-/// but re-verified here so the function stands alone).
+/// Decodes a full binary v2 segment, magic first.
 fn decode_segment(bytes: &[u8]) -> Result<Ttkv, TtkvError> {
     if !bytes.starts_with(BINARY_MAGIC) {
         return Err(TtkvError::corrupt(0, "missing binary v2 magic"));
@@ -639,25 +631,13 @@ mod tests {
     }
 
     #[test]
-    fn load_sniffs_text_v1() {
-        let store = sample_store();
+    fn load_rejects_text_v1_at_offset_zero() {
         let mut text = Vec::new();
-        store.save_text(&mut text).unwrap();
-        let loaded = Ttkv::load(text.as_slice()).unwrap();
-        assert_eq!(store, loaded);
-    }
-
-    #[test]
-    fn text_to_binary_migration_is_exact() {
-        // Tentpole invariant 1: v1 → v2 → store equals the v1 load exactly.
-        let mut store = sample_store();
-        store.prune_before(Timestamp::from_secs(107));
-        let mut text = Vec::new();
-        store.save_text(&mut text).unwrap();
-        let from_text = Ttkv::load(text.as_slice()).unwrap();
-        let reloaded = Ttkv::load(to_v2(&from_text).as_slice()).unwrap();
-        assert_eq!(from_text, reloaded);
-        assert_eq!(store, reloaded);
+        sample_store().save_text(&mut text).unwrap();
+        match Ttkv::load(text.as_slice()) {
+            Err(TtkvError::Corrupt { offset: 0, .. }) => {}
+            other => panic!("text v1 must not load: {other:?}"),
+        }
     }
 
     #[test]
@@ -669,7 +649,7 @@ mod tests {
             let prefix = bytes.get(..cut).unwrap();
             let err = Ttkv::load(prefix).expect_err("prefix must not load");
             match err {
-                TtkvError::Corrupt { .. } | TtkvError::Parse { .. } => {}
+                TtkvError::Corrupt { .. } => {}
                 other => panic!("cut {cut}: unexpected error {other:?}"),
             }
         }

@@ -91,18 +91,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// A short name for the value's type, used in diagnostics.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Str(_) => "str",
-            Value::List(_) => "list",
-        }
-    }
-
     /// Parses a bare token the way the plain-text/INI loggers do: `true`/
     /// `false` become booleans, integers and floats become numbers, anything
     /// else stays a string.

@@ -37,11 +37,15 @@ fn truncated_ttkv_files_are_rejected() {
         "k",
         Value::List(vec![Value::from(1), Value::from(2)]),
     );
-    let text = store.save_to_string();
-    // Chop characters off the end; outcomes must be Ok (when the cut falls
-    // on a record boundary) or a parse error — never a panic.
-    for cut in 0..text.len() {
-        let _ = Ttkv::load_from_str(&text[..cut]);
+    let mut bytes = Vec::new();
+    store.save(&mut bytes).unwrap();
+    // Chop bytes off the end: every strict prefix of a segment is a
+    // structured error — never a panic, never a partial store.
+    for cut in 0..bytes.len() {
+        match Ttkv::load(&bytes[..cut]) {
+            Err(TtkvError::Corrupt { .. }) => {}
+            other => panic!("cut {cut}: expected a corrupt segment, got {other:?}"),
+        }
     }
 }
 

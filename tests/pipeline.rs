@@ -27,7 +27,9 @@ fn generated_trace_roundtrips_through_file_format() {
 fn ttkv_roundtrips_after_replay() {
     let model = model_by_name("gedit").unwrap();
     let store = model.generate_trace(30, 9).replay(TimePrecision::Seconds);
-    let loaded = Ttkv::load_from_str(&store.save_to_string()).unwrap();
+    let mut bytes = Vec::new();
+    store.save(&mut bytes).unwrap();
+    let loaded = Ttkv::load(bytes.as_slice()).unwrap();
     assert_eq!(store, loaded);
 }
 

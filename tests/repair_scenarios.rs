@@ -41,6 +41,29 @@ fn ocasta_fixes_all_16_errors() {
     }
 }
 
+/// Table IV's 16/16 across scenario seeds 0–19. Open: at seeds 2, 3, 12
+/// and 17 an offending key's last version before the injection already
+/// holds the injected value, so no rollback within the search bound
+/// restores a healthy configuration (`failing_seeds/007`). Run with
+/// `cargo test --release --test repair_scenarios -- --ignored`.
+#[test]
+#[ignore = "open: failing_seeds/007"]
+fn ocasta_fixes_all_16_errors_at_scenario_seeds_0_to_19() {
+    let mut misses = Vec::new();
+    for seed in 0..20 {
+        for scenario in scenarios() {
+            let config = ScenarioConfig {
+                seed,
+                ..config_for(&scenario)
+            };
+            if !run_scenario(&scenario, &config).is_fixed() {
+                misses.push((seed, scenario.id));
+            }
+        }
+    }
+    assert!(misses.is_empty(), "(seed, case) misses: {misses:?}");
+}
+
 #[test]
 fn noclust_fails_exactly_the_five_multi_key_errors() {
     let mut failed = Vec::new();

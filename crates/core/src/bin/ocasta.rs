@@ -34,12 +34,12 @@ use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use ocasta::fleet::{fleet_machines, parse_placement, run_fleet_observed, FleetRunConfig};
+use ocasta::fleet::{fleet_machines, parse_placement, run_fleet, FleetRunConfig};
 use ocasta::{
-    diagnose, fleet_ingest_observed, generate, model_by_name, run_repair_service_observed,
-    run_vopr, vopr_scenario_names, ClusterParams, FleetMetrics, GeneratorConfig, IngestOptions,
-    Key, Ocasta, OcastaStream, Registry, RepairServiceConfig, RetentionPolicy, SearchStrategy,
-    ServiceMetrics, ServiceObservers, StreamMetrics, TimePrecision, Trace, Ttkv, TtkvStats,
+    diagnose, fleet_ingest_live, generate, model_by_name, run_repair_service, run_vopr,
+    vopr_scenario_names, ClusterParams, FleetMetrics, GeneratorConfig, IngestOptions, Key, Ocasta,
+    OcastaStream, Registry, RepairServiceConfig, RetentionPolicy, SearchStrategy, ServiceMetrics,
+    ServiceObservers, ShardedTtkv, StreamMetrics, TimePrecision, Trace, Ttkv, TtkvStats,
     WriteLanes,
 };
 
@@ -275,28 +275,7 @@ impl Command {
                 let mut i = 0;
                 while i < rest.len() {
                     match rest[i] {
-                        "--machines" => {
-                            config.machines = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--days" => config.days = parse_days("--days", value_of(&rest, &mut i)?)?,
-                        "--retain-days" => {
-                            config.engine.retention = Some(RetentionPolicy::keep_days(parse_days(
-                                "--retain-days",
-                                value_of(&rest, &mut i)?,
-                            )?))
-                        }
-                        "--seed" => config.seed = parse_num(value_of(&rest, &mut i)?)?,
-                        "--threads" => {
-                            config.engine.ingest_threads =
-                                parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--shards" => {
-                            config.engine.shards = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--batch" => {
-                            config.engine.batch_size = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--app" => config.apps.push(value_of(&rest, &mut i)?.to_owned()),
+                        flag if fleet_flag(flag, &rest, &mut i, &mut config)? => {}
                         "--placement" => {
                             config.engine.placement = parse_placement(value_of(&rest, &mut i)?)?
                         }
@@ -310,12 +289,7 @@ impl Command {
                     }
                     i += 1;
                 }
-                if config.machines == 0 {
-                    return Err("fleet needs --machines >= 1".into());
-                }
-                if config.days == 0 {
-                    return Err("fleet needs --days >= 1".into());
-                }
+                check_fleet("fleet", &config)?;
                 Ok(Command::Fleet {
                     config,
                     cluster,
@@ -333,28 +307,7 @@ impl Command {
                 let mut i = 0;
                 while i < rest.len() {
                     match rest[i] {
-                        "--machines" => {
-                            config.machines = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--days" => config.days = parse_days("--days", value_of(&rest, &mut i)?)?,
-                        "--retain-days" => {
-                            config.engine.retention = Some(RetentionPolicy::keep_days(parse_days(
-                                "--retain-days",
-                                value_of(&rest, &mut i)?,
-                            )?))
-                        }
-                        "--seed" => config.seed = parse_num(value_of(&rest, &mut i)?)?,
-                        "--threads" => {
-                            config.engine.ingest_threads =
-                                parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--shards" => {
-                            config.engine.shards = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--batch" => {
-                            config.engine.batch_size = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--app" => config.apps.push(value_of(&rest, &mut i)?.to_owned()),
+                        flag if fleet_flag(flag, &rest, &mut i, &mut config)? => {}
                         "--window" => window_secs = parse_num(value_of(&rest, &mut i)?)?,
                         "--threshold" => {
                             threshold = value_of(&rest, &mut i)?
@@ -370,12 +323,7 @@ impl Command {
                     }
                     i += 1;
                 }
-                if config.machines == 0 {
-                    return Err("stream needs --machines >= 1".into());
-                }
-                if config.days == 0 {
-                    return Err("stream needs --days >= 1".into());
-                }
+                check_fleet("stream", &config)?;
                 if !(threshold > 0.0 && threshold <= 2.0) {
                     return Err(format!("threshold must be in (0, 2], got {threshold}"));
                 }
@@ -408,31 +356,7 @@ impl Command {
                 let mut i = 0;
                 while i < rest.len() {
                     match rest[i] {
-                        "--machines" => {
-                            config.fleet.machines = parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--days" => {
-                            config.fleet.days = parse_days("--days", value_of(&rest, &mut i)?)?
-                        }
-                        "--retain-days" => {
-                            config.fleet.engine.retention = Some(RetentionPolicy::keep_days(
-                                parse_days("--retain-days", value_of(&rest, &mut i)?)?,
-                            ))
-                        }
-                        "--seed" => config.fleet.seed = parse_num(value_of(&rest, &mut i)?)?,
-                        "--threads" => {
-                            config.fleet.engine.ingest_threads =
-                                parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--shards" => {
-                            config.fleet.engine.shards =
-                                parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--batch" => {
-                            config.fleet.engine.batch_size =
-                                parse_num(value_of(&rest, &mut i)?)? as usize
-                        }
-                        "--app" => config.fleet.apps.push(value_of(&rest, &mut i)?.to_owned()),
+                        flag if fleet_flag(flag, &rest, &mut i, &mut config.fleet)? => {}
                         "--users" => config.users = parse_num(value_of(&rest, &mut i)?)? as usize,
                         "--search-threads" => {
                             config.search_threads = parse_num(value_of(&rest, &mut i)?)? as usize
@@ -471,12 +395,7 @@ impl Command {
                     }
                     i += 1;
                 }
-                if config.fleet.machines == 0 {
-                    return Err("repair needs --machines >= 1".into());
-                }
-                if config.fleet.days == 0 {
-                    return Err("repair needs --days >= 1".into());
-                }
+                check_fleet("repair", &config.fleet)?;
                 if config.users == 0 {
                     return Err("repair needs --users >= 1".into());
                 }
@@ -655,7 +574,7 @@ impl Command {
                 let metrics = metrics_json
                     .as_ref()
                     .map(|_| FleetMetrics::register(&registry));
-                let run = run_fleet_observed(config, metrics.as_ref())?;
+                let run = run_fleet(config, metrics.as_ref())?;
                 // The report line already carries the retention tally
                 // (sweeps, clamps, horizon, reclaimed) when a policy ran.
                 let mut out = format!("{}\n", run.report);
@@ -706,19 +625,23 @@ impl Command {
                 if metrics_json.is_some() {
                     stream.set_metrics(Arc::new(StreamMetrics::register(&registry)));
                 }
+                let sharded = ShardedTtkv::with_seal_threshold(
+                    config.engine.shards,
+                    config.engine.seal_threshold,
+                );
                 let lanes = WriteLanes::new(config.engine.shards);
                 let mut out = String::new();
 
                 // Ingest on a background thread; serve live clusterings
                 // from this one by draining the analytics lanes.
-                let (store, report) = std::thread::scope(|scope| {
+                let report = std::thread::scope(|scope| {
                     let handle = scope.spawn(|| {
                         let options = IngestOptions {
                             tap: Some(&lanes),
                             metrics: fleet_metrics.as_ref(),
                             ..IngestOptions::default()
                         };
-                        fleet_ingest_observed(&machines, &config.engine, options)
+                        fleet_ingest_live(&machines, &config.engine, &sharded, options)
                             .expect("no wal lane, no wal errors")
                     });
                     loop {
@@ -759,7 +682,7 @@ impl Command {
                     stats.mean_multi_cluster_size(),
                 ));
                 if *verify {
-                    let batch = engine.cluster_store(&store);
+                    let batch = engine.cluster_store(&sharded.into_ttkv());
                     if live.clustering == batch {
                         out.push_str("streaming == batch: ok\n");
                     } else {
@@ -789,7 +712,7 @@ impl Command {
                     },
                     None => ServiceObservers::default(),
                 };
-                let run = run_repair_service_observed(config, &observers)?;
+                let run = run_repair_service(config, &observers)?;
                 let mut out = format!(
                     "catalog: pinned at epoch {} ({} events, watermark {}ms) — \
                      {} clusters ({} multi), mid-ingest: {}\n\
@@ -926,6 +849,46 @@ fn value_of<'a>(rest: &[&'a str], i: &mut usize) -> Result<&'a str, String> {
     rest.get(*i)
         .copied()
         .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// Parses one of the fleet flags that `fleet`, `stream` and `repair` share
+/// (`--machines --days --retain-days --seed --threads --shards --batch
+/// --app`) into `config`, advancing `i` past its value. Returns `false`
+/// for any other flag, which the subcommand's own arms then handle.
+fn fleet_flag(
+    flag: &str,
+    rest: &[&str],
+    i: &mut usize,
+    config: &mut FleetRunConfig,
+) -> Result<bool, String> {
+    match flag {
+        "--machines" => config.machines = parse_num(value_of(rest, i)?)? as usize,
+        "--days" => config.days = parse_days("--days", value_of(rest, i)?)?,
+        "--retain-days" => {
+            config.engine.retention = Some(RetentionPolicy::keep_days(parse_days(
+                "--retain-days",
+                value_of(rest, i)?,
+            )?))
+        }
+        "--seed" => config.seed = parse_num(value_of(rest, i)?)?,
+        "--threads" => config.engine.ingest_threads = parse_num(value_of(rest, i)?)? as usize,
+        "--shards" => config.engine.shards = parse_num(value_of(rest, i)?)? as usize,
+        "--batch" => config.engine.batch_size = parse_num(value_of(rest, i)?)? as usize,
+        "--app" => config.apps.push(value_of(rest, i)?.to_owned()),
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// The checks every fleet-driving subcommand makes on its parsed flags.
+fn check_fleet(verb: &str, config: &FleetRunConfig) -> Result<(), String> {
+    if config.machines == 0 {
+        return Err(format!("{verb} needs --machines >= 1"));
+    }
+    if config.days == 0 {
+        return Err(format!("{verb} needs --days >= 1"));
+    }
+    Ok(())
 }
 
 fn parse_num(text: &str) -> Result<u64, String> {

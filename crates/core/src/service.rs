@@ -1,10 +1,10 @@
 //! The repair service: concurrent repair sessions over a live fleet store.
 //!
-//! This closes the paper's loop at fleet scale. PR 1 made ingestion
-//! concurrent ([`ocasta_fleet::ingest_into`]), PR 2 made the clustering
-//! continuously available ([`crate::OcastaStream`]); this tier makes the
-//! *repair* — the point of the whole system (§III-B, §IV-C) — run against
-//! both, while they keep moving:
+//! This closes the paper's loop at fleet scale. Ingestion is concurrent
+//! into a caller-owned live store ([`ocasta_fleet::ingest_live`]) and the
+//! clustering is continuously available ([`crate::OcastaStream`]); this
+//! tier makes the *repair* — the point of the whole system (§III-B,
+//! §IV-C) — run against both, while they keep moving:
 //!
 //! 1. a fleet of machines streams into one caller-owned [`ShardedTtkv`];
 //! 2. the streaming clustering absorbs the tapped event flow and serves a
@@ -169,20 +169,13 @@ pub struct ServiceObservers {
 
 /// Runs the repair service: ingest the fleet, pin a catalog + snapshot from
 /// the live tiers, and drive every user's repair session concurrently.
+/// `observers` attaches per-tier metric bundles;
+/// [`ServiceObservers::default`] attaches none.
 ///
 /// # Errors
 ///
 /// Unknown scenario ids or application names, or `users == 0`.
-pub fn run_repair_service(config: &RepairServiceConfig) -> Result<RepairServiceRun, String> {
-    run_repair_service_observed(config, &ServiceObservers::default())
-}
-
-/// [`run_repair_service`] with per-tier metric bundles attached.
-///
-/// # Errors
-///
-/// Same conditions as [`run_repair_service`].
-pub fn run_repair_service_observed(
+pub fn run_repair_service(
     config: &RepairServiceConfig,
     observers: &ServiceObservers,
 ) -> Result<RepairServiceRun, String> {
@@ -204,6 +197,7 @@ pub fn run_repair_service_observed(
     if let Some(stream_metrics) = &observers.stream {
         stream.set_metrics(stream_metrics.clone());
     }
+    let fleet_metrics = observers.fleet.as_deref();
     let service_metrics = observers.service.as_deref();
 
     // The pin-advance coordinator, shared by every session thread. Each
@@ -221,7 +215,7 @@ pub fn run_repair_service_observed(
             let options = IngestOptions {
                 tap: Some(&lanes),
                 guard: Some(&guard),
-                metrics: observers.fleet.as_deref(),
+                metrics: fleet_metrics,
                 ..IngestOptions::default()
             };
             ingest_live(&machines, &fleet_cfg.engine, &sharded, options)
@@ -282,7 +276,12 @@ pub fn run_repair_service_observed(
         // pin cannot observe them. One materialization here feeds the run
         // report; each session folds its own copy of the pin in its own
         // thread.
+        let pin_started = Stopwatch::start_if(fleet_metrics.is_some());
         let pinned = sharded.pin_epoch();
+        if let (Some(m), Some(sw)) = (fleet_metrics, pin_started) {
+            m.pin_stall.record_duration(sw.elapsed());
+            m.epoch_pins.inc();
+        }
         let snapshot = pinned.materialize();
         // Sampled *after* the snapshot, so "mid-ingest" is conservative:
         // if ingestion is still running now, the pinned history was
@@ -515,7 +514,8 @@ mod tests {
 
     #[test]
     fn concurrent_sessions_fix_their_errors() {
-        let run = run_repair_service(&small_config()).expect("service runs");
+        let run = run_repair_service(&small_config(), &ServiceObservers::default())
+            .expect("service runs");
         assert_eq!(run.sessions.len(), 3);
         assert_eq!(run.fixed_sessions(), 3, "{:?}", run.sessions);
         // Round-robin assignment over the two scenarios.
@@ -534,13 +534,29 @@ mod tests {
     }
 
     #[test]
+    fn fleet_observer_records_the_sessions_epoch_pin() {
+        let registry = ocasta_obs::Registry::new();
+        let fleet = Arc::new(FleetMetrics::register(&registry));
+        let observers = ServiceObservers {
+            fleet: Some(fleet.clone()),
+            ..ServiceObservers::default()
+        };
+        let run = run_repair_service(&small_config(), &observers).expect("service runs");
+        assert_eq!(run.fixed_sessions(), 3, "{:?}", run.sessions);
+        // Every session shares the one epoch the service pins.
+        assert_eq!(fleet.epoch_pins.get(), 1);
+        assert_eq!(fleet.pin_stall.count(), 1);
+        assert!(fleet.ingest_batches.get() > 0, "ingest is observed too");
+    }
+
+    #[test]
     fn mid_ingest_pin_is_reported_and_sessions_still_run() {
         let config = RepairServiceConfig {
             min_catalog_events: 200,
             users: 2,
             ..small_config()
         };
-        let run = run_repair_service(&config).expect("service runs");
+        let run = run_repair_service(&config, &ServiceObservers::default()).expect("service runs");
         assert_eq!(run.sessions.len(), 2);
         // Whether the pin landed mid-ingest depends on scheduling; either
         // way every session must complete with a usable report, and the
@@ -560,7 +576,8 @@ mod tests {
         let mut base = small_config();
         base.fleet.days = 16;
         base.start_bound_days = Some(3);
-        let reference = run_repair_service(&base).expect("service runs");
+        let reference =
+            run_repair_service(&base, &ServiceObservers::default()).expect("service runs");
 
         // Retention on: keep 5 days behind the frontier — deeper than any
         // session's 3-day search bound, which the pin enforces regardless.
@@ -569,7 +586,7 @@ mod tests {
             retain: TimeDelta::from_days(5),
             min_interval: TimeDelta::from_days(1),
         });
-        let run = run_repair_service(&config).expect("service runs");
+        let run = run_repair_service(&config, &ServiceObservers::default()).expect("service runs");
 
         let retention = run.ingest.retention.expect("policy was set");
         assert!(retention.sweeps > 0, "{retention:?}");
@@ -625,17 +642,17 @@ mod tests {
     fn bad_inputs_are_rejected() {
         let mut config = small_config();
         config.users = 0;
-        assert!(run_repair_service(&config).is_err());
+        assert!(run_repair_service(&config, &ServiceObservers::default()).is_err());
 
         let mut config = small_config();
         config.scenario_ids = vec![99];
-        assert!(run_repair_service(&config)
+        assert!(run_repair_service(&config, &ServiceObservers::default())
             .unwrap_err()
             .contains("scenario id 99"));
 
         let mut config = small_config();
         config.scenario_ids = Vec::new();
-        assert!(run_repair_service(&config).is_err());
+        assert!(run_repair_service(&config, &ServiceObservers::default()).is_err());
     }
 
     #[test]

@@ -189,7 +189,9 @@ impl OcastaStream {
 
     /// Drains a fleet ingestion's analytics lanes into the stream; returns
     /// how many mutations were absorbed. Call repeatedly while
-    /// [`ocasta_fleet::ingest_tapped`] runs to keep the clustering fresh.
+    /// [`ocasta_fleet::ingest_live`] runs with the lanes as its
+    /// [`IngestOptions::tap`](ocasta_fleet::IngestOptions::tap) to keep the
+    /// clustering fresh.
     pub fn drain_lanes(&mut self, lanes: &WriteLanes) -> usize {
         self.absorb_batch(lanes.drain())
     }

@@ -8,19 +8,20 @@
 //!
 //! * [`ShardedTtkv`] — the store side: TTKV shards striped by key hash,
 //!   each an immutable-sealed-segments + mutable-tail stack behind its own
-//!   lock, merged into one consistent [`ocasta_ttkv::Ttkv`] when ingestion
-//!   completes;
+//!   lock, merged into one consistent [`ocasta_ttkv::Ttkv`]
+//!   ([`ShardedTtkv::into_ttkv`]) whenever its owner asks;
 //! * [`WalWriter`]/[`WalReader`]/[`Wal`] — an append-only write-ahead log
 //!   with a checksummed binary frame format (see [`codec`]), torn-tail
 //!   recovery and snapshot compaction;
-//! * [`ingest`]/[`ingest_with_wal`] — the engine: a work queue of
-//!   machines, N ingest workers driving lazy
-//!   [`ocasta_trace::EventStream`]s, per-shard batching, and an optional
-//!   WAL appender lane;
-//! * [`ingest_into`]/[`ingest_live`]/[`ShardedTtkv::pin_epoch`] — the
-//!   live-store path: ingestion into a caller-owned sharded store that
-//!   stays readable, through O(shards) per-shard-atomic epoch pins
-//!   ([`EpochSnapshot`]), while workers keep appending — what the repair
+//! * [`ingest_live`] + [`IngestOptions`] — the engine and its one entry
+//!   point: a work queue of machines, N ingest workers driving lazy
+//!   [`ocasta_trace::EventStream`]s, per-shard batching into a
+//!   caller-owned [`ShardedTtkv`], and, per the options, a WAL appender
+//!   lane, a live-analytics tap, a horizon guard, metrics and injected
+//!   faults;
+//! * [`ShardedTtkv::pin_epoch`] — the live-store read path: the store stays
+//!   readable through O(shards) per-shard-atomic epoch pins
+//!   ([`EpochSnapshot`]) while workers keep appending — what the repair
 //!   service tier pins its sessions to;
 //! * [`RetentionPolicy`]/[`ShardedTtkv::prune_before`] — the bounded-memory
 //!   path: a retention sweeper prunes live shards and compacts the WAL to
@@ -38,7 +39,9 @@
 //! ## Quick start
 //!
 //! ```
-//! use ocasta_fleet::{ingest, FleetConfig, KeyPlacement, MachineSpec};
+//! use ocasta_fleet::{
+//!     ingest_live, FleetConfig, IngestOptions, KeyPlacement, MachineSpec, ShardedTtkv,
+//! };
 //! use ocasta_trace::{KeySpec, SettingGroup, ValueKind, WorkloadSpec};
 //!
 //! // Two simulated machines running the same app.
@@ -55,12 +58,16 @@
 //!     .map(|i| MachineSpec::new(format!("m{i}"), 15, 7 + i, vec![spec.clone()]))
 //!     .collect();
 //!
-//! let (store, report) = ingest(&machines, &FleetConfig {
+//! let config = FleetConfig {
 //!     shards: 4,
 //!     ingest_threads: 2,
 //!     placement: KeyPlacement::Merged,
 //!     ..FleetConfig::default()
-//! });
+//! };
+//! let sharded = ShardedTtkv::with_seal_threshold(config.shards, config.seal_threshold);
+//! let report = ingest_live(&machines, &config, &sharded, IngestOptions::default())
+//!     .expect("no WAL lane, no fault plan");
+//! let store = sharded.into_ttkv();
 //! assert_eq!(report.machines, 2);
 //! assert!(store.stats().writes > 0);
 //! ```
@@ -82,9 +89,8 @@ mod wal;
 
 pub use doctor::{diagnose, DoctorReport, Finding, Severity};
 pub use engine::{
-    ingest, ingest_into, ingest_live, ingest_observed, ingest_sequential, ingest_tapped,
-    ingest_with_wal, FleetConfig, FleetReport, IngestOptions, KeyPlacement, MachineSpec,
-    RetentionPolicy, RetentionReport,
+    ingest_live, ingest_sequential, FleetConfig, FleetReport, IngestOptions, KeyPlacement,
+    MachineSpec, RetentionPolicy, RetentionReport,
 };
 pub use fault::{FaultPlan, IngestError};
 pub use metrics::FleetMetrics;

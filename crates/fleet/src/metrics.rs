@@ -62,9 +62,10 @@ pub struct FleetMetrics {
     /// (`fleet.shard.seal_us`).
     pub seal_stall: Arc<Histogram>,
     /// Epoch pins taken for snapshots (`fleet.snapshot.epoch_pins`).
+    /// The engine takes no pins; the caller that pins records here.
     pub epoch_pins: Arc<Counter>,
     /// Time spent pinning one epoch across every shard
-    /// (`fleet.snapshot.pin_us`).
+    /// (`fleet.snapshot.pin_us`), recorded by the caller that pins.
     pub pin_stall: Arc<Histogram>,
     /// Sealed segments rewritten copy-on-write by sweeps
     /// (`fleet.sweep.cow_segments`).

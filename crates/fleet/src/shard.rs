@@ -396,7 +396,7 @@ impl ShardedTtkv {
     /// Appends a batch of ops to one shard. Every op in the batch must
     /// stripe to `shard` (callers batch per shard; debug builds check).
     pub fn append_batch(&self, shard: usize, batch: Vec<TraceOp>) {
-        self.append_batch_with(shard, batch, |_| {});
+        self.append_batch_observed(shard, batch, |_| {}, None);
     }
 
     /// Like [`ShardedTtkv::append_batch`], invoking `before_apply` on the
@@ -406,17 +406,8 @@ impl ShardedTtkv {
     /// sees same-shard batches in exactly the order the shard applies them
     /// — which is what makes WAL replay reproduce the store even when
     /// same-key timestamp ties arrive from different workers.
-    pub fn append_batch_with<F: FnOnce(&[TraceOp])>(
-        &self,
-        shard: usize,
-        batch: Vec<TraceOp>,
-        before_apply: F,
-    ) {
-        self.append_batch_observed(shard, batch, before_apply, None);
-    }
-
-    /// [`ShardedTtkv::append_batch_with`] with optional instrumentation:
-    /// when `metrics` is set, the stripe-lock wait, the in-lock apply (WAL
+    ///
+    /// When `metrics` is set, the stripe-lock wait, the in-lock apply (WAL
     /// send included), and any tail seal the batch triggers are timed into
     /// the fleet histograms. Timing is observation-only — the lock
     /// discipline, apply order, and seal points are identical with metrics
@@ -563,13 +554,6 @@ impl ShardedTtkv {
     /// cut of the fleet: exactly the guarantee a repair session pins (see
     /// `DESIGN.md §5.8`, `§5.13`).
     pub fn pin_epoch(&self) -> EpochSnapshot {
-        self.pin_epoch_observed(None)
-    }
-
-    /// [`ShardedTtkv::pin_epoch`] recording pin count and pin stall into
-    /// the fleet metrics when `metrics` is set.
-    pub(crate) fn pin_epoch_observed(&self, metrics: Option<&FleetMetrics>) -> EpochSnapshot {
-        let started = Stopwatch::start_if(metrics.is_some());
         let shards = self
             .shards
             .iter()
@@ -583,10 +567,6 @@ impl ShardedTtkv {
                 }
             })
             .collect();
-        if let (Some(m), Some(started)) = (metrics, started) {
-            m.pin_stall.record_duration(started.elapsed());
-            m.epoch_pins.inc();
-        }
         EpochSnapshot { shards }
     }
 

@@ -99,11 +99,11 @@ impl Gauge {
 
 /// Upper bounds (inclusive, microseconds) of the fixed histogram buckets.
 ///
-/// A 1-2.5-5 ladder from 1 µs to 10 s: wide enough for everything from a
+/// A 1-2.5-5 ladder from 1 µs to 25 s: wide enough for everything from a
 /// stripe-lock wait to a full-chain WAL rebase, coarse enough that the
-/// whole table is a handful of cache lines. Values above the last bound
-/// land in one overflow bucket whose reported quantile is the observed
-/// maximum.
+/// whole table is a handful of cache lines. The last entry is the
+/// overflow bucket: every value above 25 s lands there, and its reported
+/// quantile is the observed maximum, never its nominal bound.
 pub const BUCKET_BOUNDS_US: [u64; 24] = [
     1,
     2,
@@ -137,9 +137,10 @@ pub const BUCKET_BOUNDS_US: [u64; 24] = [
 /// table plus count/sum/max updates — allocation-free and lock-free, so it
 /// is safe on the hottest paths (see the crate docs for why that matters).
 /// Quantiles are read back from cumulative bucket counts and reported as
-/// the matched bucket's upper bound (the overflow bucket reports the true
-/// observed maximum), which is exact enough for regression gating and
-/// honest about its resolution.
+/// the matched bucket's upper bound clamped to the observed maximum (the
+/// overflow bucket reports the maximum itself), so no quantile reads
+/// above [`Histogram::max_us`]. That is exact enough for regression
+/// gating and honest about its resolution.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKET_BOUNDS_US.len()],
@@ -198,8 +199,8 @@ impl Histogram {
     }
 
     /// The `q`-quantile (`0.0..=1.0`) as a bucket upper bound in
-    /// microseconds; the overflow bucket reports the observed maximum.
-    /// Returns 0 for an empty histogram.
+    /// microseconds, clamped to the observed maximum; the overflow bucket
+    /// reports the maximum itself. Returns 0 for an empty histogram.
     pub fn quantile_us(&self, q: f64) -> u64 {
         let counts: Vec<u64> = self
             .buckets
@@ -220,7 +221,7 @@ impl Histogram {
                 return if bucket == BUCKET_BOUNDS_US.len() - 1 {
                     self.max_us()
                 } else {
-                    BUCKET_BOUNDS_US[bucket]
+                    BUCKET_BOUNDS_US[bucket].min(self.max_us())
                 };
             }
         }
@@ -446,8 +447,25 @@ mod tests {
         assert_eq!(h.max_us(), 4_000);
         assert_eq!(h.quantile_us(0.50), 50);
         assert_eq!(h.quantile_us(0.90), 50);
-        assert_eq!(h.quantile_us(0.99), 5_000);
-        assert_eq!(h.quantile_us(1.0), 5_000);
+        // The slow observations' bucket reaches 5_000, but nothing above
+        // the maximum was observed: the 100th percentile is the maximum.
+        assert_eq!(h.quantile_us(0.99), 4_000);
+        assert_eq!(h.quantile_us(1.0), 4_000);
+    }
+
+    #[test]
+    fn quantiles_never_read_above_the_observed_maximum() {
+        // One observation, as a run that opens one session records it.
+        let h = Histogram::new();
+        h.record(2_465); // bucket bound 2_500
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(h.quantile_us(q), 2_465, "q = {q}");
+        }
+        // Below the maximum, a quantile still reads its bucket's bound.
+        h.record(30); // bucket bound 50
+        h.record(30);
+        assert_eq!(h.quantile_us(0.5), 50);
+        assert_eq!(h.quantile_us(1.0), 2_465);
     }
 
     #[test]

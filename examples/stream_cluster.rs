@@ -5,7 +5,9 @@
 //! Run with: `cargo run --example stream_cluster --release`
 
 use ocasta::fleet::{fleet_machines, FleetRunConfig};
-use ocasta::{fleet_ingest_tapped, FleetConfig, Ocasta, OcastaStream, WriteLanes};
+use ocasta::{
+    fleet_ingest_live, FleetConfig, IngestOptions, Ocasta, OcastaStream, ShardedTtkv, WriteLanes,
+};
 
 fn main() {
     // 1. Describe the fleet: 6 machines, 15 days, three desktop apps each.
@@ -26,14 +28,22 @@ fn main() {
 
     // 2. Attach analytics lanes to the ingestion engine: every accepted
     //    batch also lands, outside the shard locks, in a per-shard lane.
+    let sharded = ShardedTtkv::new(config.engine.shards);
     let lanes = WriteLanes::new(config.engine.shards);
     let engine = Ocasta::default();
     let mut stream = OcastaStream::new(&engine);
 
     // 3. Ingest on a background thread; serve clusterings *while it runs*
     //    by draining the lanes into the incremental correlation state.
-    let (store, report) = std::thread::scope(|scope| {
-        let handle = scope.spawn(|| fleet_ingest_tapped(&machines, &config.engine, &lanes));
+    let report = std::thread::scope(|scope| {
+        let handle = scope.spawn(|| {
+            let options = IngestOptions {
+                tap: Some(&lanes),
+                ..IngestOptions::default()
+            };
+            fleet_ingest_live(&machines, &config.engine, &sharded, options)
+                .expect("no WAL lane, no fault plan")
+        });
         loop {
             let finished = handle.is_finished();
             if stream.drain_lanes(&lanes) > 0 {
@@ -75,6 +85,7 @@ fn main() {
 
     // 5. The invariant that makes this safe to ship: the streamed answer
     //    *is* the batch answer over the recorded store. Exactly.
+    let store = sharded.into_ttkv();
     let batch = engine.cluster_store(&store);
     assert_eq!(live.clustering, batch, "streaming == batch");
     println!("verified: streaming == batch over {} keys", store.len());

@@ -20,8 +20,9 @@ use std::path::Path;
 
 use ocasta::fleet::{fleet_machines, FleetRunConfig};
 use ocasta::{
-    fleet_ingest, FleetConfig, KeyPlacement, MachineSpec, RepairServiceConfig, RetentionPolicy,
-    ShardedTtkv, TimeDelta, TimePrecision, Timestamp, TraceOp, Ttkv, Wal, WorkloadSpec,
+    fleet_ingest_live, FleetConfig, FleetReport, IngestOptions, KeyPlacement, MachineSpec,
+    RepairServiceConfig, RetentionPolicy, ServiceObservers, ShardedTtkv, TimeDelta, TimePrecision,
+    Timestamp, TraceOp, Ttkv, Wal, WorkloadSpec,
 };
 
 /// A small deterministic fleet (seeded workload generator).
@@ -192,6 +193,14 @@ fn sweep_retention_feed(scratch: &Path) -> RetentionSweep {
     sweep(&ops, 8, TimeDelta::from_days(10), 6, Some(3), scratch)
 }
 
+/// Ingests `machines` into a fresh store sized from `config`, then merges it.
+fn ingest_merged(machines: &[MachineSpec], config: &FleetConfig) -> (Ttkv, FleetReport) {
+    let sharded = ShardedTtkv::with_seal_threshold(config.shards, config.seal_threshold);
+    let report = fleet_ingest_live(machines, config, &sharded, IngestOptions::default())
+        .expect("no WAL lane, no fault plan");
+    (sharded.into_ttkv(), report)
+}
+
 /// A scratch directory private to one test of this process.
 fn scratch(test: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ocasta-t1-{test}-{}", std::process::id()))
@@ -221,8 +230,8 @@ fn engine_retention_run_equals_unbounded_run_pruned_at_final_horizon() {
         placement: KeyPlacement::PerMachine,
         ..FleetConfig::default()
     };
-    let (reference, _) = fleet_ingest(&machines, &base);
-    let (pruned, report) = fleet_ingest(
+    let (reference, _) = ingest_merged(&machines, &base);
+    let (pruned, report) = ingest_merged(
         &machines,
         &FleetConfig {
             retention: Some(RetentionPolicy {
@@ -335,17 +344,23 @@ fn pinned_sessions_repair_identically_under_retention() {
     fleet.days = 16;
     fleet.engine.shards = 4;
     fleet.engine.ingest_threads = 2;
-    let without = ocasta::run_repair_service(&RepairServiceConfig {
-        fleet: fleet.clone(),
-        ..base.clone()
-    })
+    let without = ocasta::run_repair_service(
+        &RepairServiceConfig {
+            fleet: fleet.clone(),
+            ..base.clone()
+        },
+        &ServiceObservers::default(),
+    )
     .expect("service runs");
     fleet.engine.retention = Some(RetentionPolicy {
         retain: TimeDelta::from_days(5),
         min_interval: TimeDelta::from_days(1),
     });
-    let with =
-        ocasta::run_repair_service(&RepairServiceConfig { fleet, ..base }).expect("service runs");
+    let with = ocasta::run_repair_service(
+        &RepairServiceConfig { fleet, ..base },
+        &ServiceObservers::default(),
+    )
+    .expect("service runs");
 
     let retention = with.ingest.retention.expect("policy was set");
     assert!(retention.sweeps > 0, "the sweeper must have run");

@@ -1,6 +1,14 @@
-//! Tier-1 VOPR gate: every fault scenario must pass on pinned seeds, the
-//! verdict report must be byte-deterministic, and every reproducer the
-//! `failing_seeds/` corpus has ever recorded must replay clean forever.
+//! Tier-1 VOPR gate: every fault scenario must pass on pinned seeds with
+//! the verdict report its golden pins, the report must be
+//! byte-deterministic, and every reproducer the `failing_seeds/` corpus
+//! has ever recorded must replay clean forever.
+//!
+//! The goldens under `tests/golden/vopr/` are the release stdout of
+//! `ocasta vopr --scenario <name> --seed <n>`, one file per pinned pair.
+//! A diff there is a behaviour change. To regenerate after an intended
+//! one: `ocasta vopr --scenario baseline --seed 7 >
+//! tests/golden/vopr/baseline-7.txt`, and likewise for every scenario
+//! of `ocasta vopr --list` under both pinned seeds.
 
 use std::fs;
 use std::path::Path;
@@ -13,18 +21,28 @@ const SEEDS: [u64; 2] = [7, 1042];
 
 #[test]
 fn every_scenario_passes_on_pinned_seeds() {
+    let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/vopr");
     for scenario in vopr_scenario_names() {
         for seed in SEEDS {
             let outcome = run_vopr(scenario, seed)
                 .unwrap_or_else(|e| panic!("{scenario} seed {seed} failed to run: {e}"));
+            let report = outcome.report();
             assert!(
                 outcome.passed(),
-                "{scenario} seed {seed} violated an invariant:\n{}",
-                outcome.report()
+                "{scenario} seed {seed} violated an invariant:\n{report}"
             );
             assert!(
                 outcome.checks.len() >= 4,
                 "{scenario}: every scenario checks all four standing invariants"
+            );
+            let path = goldens.join(format!("{scenario}-{seed}.txt"));
+            let golden =
+                fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(
+                report,
+                golden,
+                "{scenario} seed {seed}: verdict report differs from {}",
+                path.display()
             );
         }
     }

@@ -21,7 +21,7 @@ pub struct ServiceMetrics {
     /// the pinned snapshot plus search construction.
     pub session_open: Arc<Histogram>,
     /// `service.session.step_us` — the rollback search itself (trial loop
-    /// to exhaustion or fix).
+    /// to the first fix, or through the whole plan if nothing fixes).
     pub session_step: Arc<Histogram>,
     /// `service.session.commit_us` — result extraction and report
     /// assembly after the search returns.

@@ -14,7 +14,7 @@
 //!    ([`ShardedTtkv::pin_epoch`]) taken *at or after* that horizon — an
 //!    O(shards) grab of shared sealed segments, not a store copy;
 //! 4. an error scenario is injected into the user's pinned snapshot and
-//!    the parallel rollback search runs to exhaustion — N sessions
+//!    the parallel rollback search runs until its first fix — N sessions
 //!    concurrently, each with its own trial-executor pool — while
 //!    ingestion continues underneath;
 //! 5. with a retention policy on the fleet engine, a sweeper prunes the
@@ -634,7 +634,6 @@ mod tests {
             assert_eq!(a.trials_to_fix, b.trials_to_fix);
             assert_eq!(a.total_trials, b.total_trials);
             assert_eq!(a.screenshots_to_fix, b.screenshots_to_fix);
-            assert_eq!(a.total_screenshots, b.total_screenshots);
         }
     }
 

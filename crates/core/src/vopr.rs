@@ -260,13 +260,12 @@ pub fn check_parallel_equals_sequential(
         name: "parallel-equals-sequential",
         passed: sequential == parallel,
         detail: format!(
-            "sequential {} trials / {} screenshots / fixed={} vs parallel {} / {} / fixed={}",
-            sequential.total_trials,
-            sequential.total_screenshots,
-            sequential.is_fixed(),
-            parallel.total_trials,
-            parallel.total_screenshots,
-            parallel.is_fixed(),
+            "sequential trials_to_fix={:?} screenshots_to_fix={} vs parallel \
+             trials_to_fix={:?} screenshots_to_fix={}",
+            sequential.trials_to_fix,
+            sequential.screenshots_to_fix,
+            parallel.trials_to_fix,
+            parallel.screenshots_to_fix,
         ),
     }
 }

@@ -500,11 +500,13 @@ pub fn ingest_live(
                                     if faults.and_then(|f| f.kill_worker_at_machine)
                                         == Some(machine_idx)
                                     {
-                                        // lint:allow(panic-in-worker-path): deliberate fault injection — the VOPR worker-kill fault is a real panic by design
-                                        panic!(
+                                        // The same unwind a panic starts, caught below, but
+                                        // without running the panic hook: an injected kill
+                                        // prints nothing to stderr.
+                                        std::panic::resume_unwind(Box::new(format!(
                                             "fault injection: worker killed at machine index \
                                              {machine_idx}"
-                                        );
+                                        )));
                                     }
                                     let mut batches: Vec<Vec<TraceOp>> = (0..shard_count)
                                         .map(|_| Vec::with_capacity(config.batch_size))

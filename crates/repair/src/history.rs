@@ -37,6 +37,12 @@ impl ClusterInfo {
     /// `window` is the co-modification window used to group member-key
     /// mutations into transactions; `start`/`end` bound which transactions
     /// are searchable (both inclusive; `None` means unbounded).
+    ///
+    /// Only each key's mutations inside the bounds are read, plus its last
+    /// mutation before `start`. That is exact because the window is a gap
+    /// rule: whether a mutation opens a transaction depends only on the
+    /// cluster's previous mutation, which is either inside the bounds too
+    /// or the newest of the per-key predecessors kept here.
     pub fn build(
         ttkv: &Ttkv,
         keys: Vec<Key>,
@@ -44,25 +50,27 @@ impl ClusterInfo {
         start: Option<Timestamp>,
         end: Option<Timestamp>,
     ) -> Self {
-        let mut times: Vec<Timestamp> = keys
-            .iter()
-            .filter_map(|k| ttkv.record(k.as_str()))
-            .flat_map(|r| r.mutation_times().collect::<Vec<_>>())
-            .collect();
+        let mut times: Vec<Timestamp> = Vec::new();
+        let mut modifications = 0;
+        let mut last_modified = None;
+        for record in keys.iter().filter_map(|k| ttkv.record(k.as_str())) {
+            modifications += record.modifications();
+            // The watermark, not the newest surviving time: surviving
+            // mutation times shrink as retention sweeps deepen, and the
+            // sort tie-break must not move with them.
+            last_modified = last_modified.max(record.last_mutation_watermark());
+            let history = record.history();
+            let from = start.map_or(0, |s| {
+                history
+                    .partition_point(|v| v.timestamp < s)
+                    .saturating_sub(1)
+            });
+            let to = end.map_or(history.len(), |e| {
+                history.partition_point(|v| v.timestamp <= e)
+            });
+            times.extend(history[from..to.max(from)].iter().map(|v| v.timestamp));
+        }
         times.sort_unstable();
-        let modifications = keys
-            .iter()
-            .filter_map(|k| ttkv.record(k.as_str()))
-            .map(|r| r.modifications())
-            .sum();
-        // The watermark, not `times.last()`: surviving mutation times
-        // shrink as retention sweeps deepen, and the sort tie-break must
-        // not move with them.
-        let last_modified = keys
-            .iter()
-            .filter_map(|k| ttkv.record(k.as_str()))
-            .filter_map(|r| r.last_mutation_watermark())
-            .max();
 
         // Group into transactions through the workspace's one windowing
         // rule (`ocasta_cluster::TransactionWindow`) — the same core the

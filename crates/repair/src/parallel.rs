@@ -12,9 +12,10 @@
 //! coordinating thread runs trials too and folds every result **in plan
 //! order**. Because every counter the search reports — first fix,
 //! trials-to-fix, unique screenshots at the fix — is updated during that
-//! in-order fold, the outcome equals [`search`]'s field for field, which the
-//! property suite asserts on random histories (`tests/prop.rs`) and
-//! `DESIGN.md §5.8` argues structurally.
+//! in-order fold, and the fold stops at the first fix exactly where the
+//! sequential loop stops, the outcome equals [`search`]'s field for field,
+//! which the property suite asserts on random histories (`tests/prop.rs`)
+//! and `DESIGN.md §5.8` argues structurally.
 //!
 //! [`search`]: crate::search::search
 
@@ -42,7 +43,9 @@ use crate::trial::{FixOracle, Trial};
 /// # Panics
 ///
 /// If a trial's render or oracle panics, on any executor, the search
-/// panics too; it never returns an outcome that is missing a trial.
+/// panics too; it never returns an outcome that is missing a trial. That
+/// includes a trial still in flight when the fix is folded: its result is
+/// no longer needed, but the search joins it before returning.
 ///
 /// # Examples
 ///
@@ -96,7 +99,8 @@ pub fn parallel_search(
 /// [`parallel_search`]'s (and therefore the sequential search's) field for
 /// field.
 ///
-/// When the final trial is folded, the observer is *not* called with an
+/// The observer stops when the fold stops, at the first fix or at the
+/// plan's end, and is *not* called after that last fold with an
 /// "everything prunable" bound: releasing the last of the protection is the
 /// pin drop's job, and the driver may still read the pinned snapshot while
 /// assembling its report.
@@ -185,6 +189,14 @@ pub fn parallel_search_observed(
             };
             let (rank, version) = visits[next];
             tally.fold(&infos, rank, version, shot, fixed);
+            if fixed {
+                // Done: moving the cursor past the plan's end stops every
+                // executor at its next claim. Results of trials still in
+                // flight are dropped unread; the scope joins them, so one
+                // that panics still panics the search.
+                cursor.store(visits.len(), Ordering::Relaxed);
+                break;
+            }
             // Progress after every `threads` folded trials, never after the
             // last: every trial still running or unclaimed sits at or past
             // `folded`, so the suffix minimum bounds what it can touch.
@@ -198,7 +210,7 @@ pub fn parallel_search_observed(
             }
         }
     });
-    tally.finish(&infos, config)
+    tally.finish(&infos, visits.len(), config)
 }
 
 #[cfg(test)]
@@ -263,43 +275,58 @@ mod tests {
 
     #[test]
     fn progress_observer_reports_monotone_bounds_without_perturbing_outcome() {
-        let ttkv = dependent_store();
-        let clusters = vec![
-            vec![Key::new("app/enabled"), Key::new("app/mode")],
-            vec![Key::new("app/geometry")],
+        // A never-fixing oracle folds the whole plan (the pair's three
+        // versions, then geometry's one), so the waves run to its end. With
+        // a rarely modified key's two versions sorted ahead of the pair,
+        // the panel oracle fixes at the third trial and the fold stops.
+        let mut fix_third = dependent_store();
+        fix_third.write(ts(5000), "app/early", Value::from(1));
+        fix_third.write(ts(6000), "app/early", Value::from(2));
+        let cases = [
+            (dependent_store(), FixOracle::element_visible("never"), None),
+            (fix_third, FixOracle::element_visible("panel"), Some(3)),
         ];
-        let oracle = FixOracle::element_visible("panel");
         let config = SearchConfig::default();
-        for threads in [1, 2, 4] {
-            let mut reports: Vec<Timestamp> = Vec::new();
-            let observed = parallel_search_observed(
-                &ttkv,
-                &clusters,
-                &panel_trial(),
-                &oracle,
-                &config,
-                threads,
-                |t| reports.push(t),
-            );
-            let plain =
-                parallel_search(&ttkv, &clusters, &panel_trial(), &oracle, &config, threads);
-            assert_eq!(observed, plain, "threads={threads}");
-            if threads < observed.total_trials {
-                assert!(!reports.is_empty(), "waves reported progress");
-            } else {
-                // The whole plan fit in one wave, and the final wave never
-                // reports: releasing protection is the pin drop's job.
-                assert!(reports.is_empty(), "threads={threads}: {reports:?}");
+        for (ttkv, oracle, trials_to_fix) in cases {
+            let clusters = vec![
+                vec![Key::new("app/enabled"), Key::new("app/mode")],
+                vec![Key::new("app/geometry")],
+                vec![Key::new("app/early")],
+            ];
+            for threads in [1, 2, 4] {
+                let mut reports: Vec<Timestamp> = Vec::new();
+                let observed = parallel_search_observed(
+                    &ttkv,
+                    &clusters,
+                    &panel_trial(),
+                    &oracle,
+                    &config,
+                    threads,
+                    |t| reports.push(t),
+                );
+                let plain =
+                    parallel_search(&ttkv, &clusters, &panel_trial(), &oracle, &config, threads);
+                assert_eq!(observed, plain, "threads={threads}");
+                assert_eq!(observed.trials_to_fix, trials_to_fix);
+                // One report per completed `threads`-wide wave before the
+                // last fold — the fix, or the plan's end — and none after
+                // it: releasing protection is the pin drop's job.
+                let folded = observed.trials_to_fix.unwrap_or(observed.total_trials);
+                assert_eq!(
+                    reports.len(),
+                    (folded - 1) / threads,
+                    "threads={threads}: {reports:?}"
+                );
+                assert!(
+                    reports.windows(2).all(|w| w[0] <= w[1]),
+                    "bounds are monotone: {reports:?}"
+                );
+                // Every report is a bound the remaining plan honours: it
+                // never exceeds what the whole search needed at the start
+                // plus the full span of candidate versions.
+                let initial = config.oldest_history_needed();
+                assert!(reports.iter().all(|&t| t >= initial));
             }
-            assert!(
-                reports.windows(2).all(|w| w[0] <= w[1]),
-                "bounds are monotone: {reports:?}"
-            );
-            // Every report is a bound the remaining plan honours: it never
-            // exceeds what the whole search needed at the start plus the
-            // full span of candidate versions.
-            let initial = config.oldest_history_needed();
-            assert!(reports.iter().all(|&t| t >= initial));
         }
     }
 

@@ -118,15 +118,16 @@ pub struct SearchOutcome {
     pub fix: Option<FixInfo>,
     /// Trials executed up to and including the fixing one.
     pub trials_to_fix: Option<usize>,
-    /// Trials for an exhaustive search of every version of every cluster.
+    /// The plan length: trials an exhaustive search of every version of
+    /// every cluster would execute. Computed from the plan, not counted —
+    /// the search stops at the first fix.
     pub total_trials: usize,
     /// Unique screenshots recorded up to the fix (what the user examines).
     pub screenshots_to_fix: usize,
-    /// Unique screenshots over the exhaustive search.
-    pub total_screenshots: usize,
     /// Modeled wall-clock to the fix (`trials_to_fix × trial_cost`).
     pub time_to_fix: Option<TimeDelta>,
-    /// Modeled wall-clock for the exhaustive search.
+    /// Modeled wall-clock for the exhaustive search (`total_trials ×
+    /// trial_cost`), likewise computed rather than run.
     pub total_time: TimeDelta,
     /// Number of clusters that had at least one searchable version.
     pub clusters_searched: usize,
@@ -146,9 +147,11 @@ impl SearchOutcome {
 /// that change rarely are likely configuration), walks `(cluster, version)`
 /// pairs in the configured strategy order, executes the trial on a sandboxed
 /// rollback of each version, and asks the oracle (standing in for the human
-/// checking the screenshot gallery) whether the symptom is gone. The search
-/// runs to exhaustion so both the "found" and the "searched everything"
-/// costs of Table IV are measured.
+/// checking the screenshot gallery) whether the symptom is gone. Like the
+/// paper's user, who stops once a screenshot shows the error gone, the
+/// search stops at the first fix. Table IV's "searched everything" cost is
+/// arithmetic — the plan length times the trial cost — so it is reported
+/// without running the trials past the fix.
 ///
 /// # Examples
 ///
@@ -193,11 +196,15 @@ pub fn search(
     // restores.
     let mut sandbox = ttkv.snapshot_latest();
     let mut tally = Tally::new(trial.run(&sandbox));
-    for (rank, version) in plan(&infos, config.strategy) {
+    let visits = plan(&infos, config.strategy);
+    for &(rank, version) in &visits {
         let (shot, fixed) = run_trial(ttkv, &infos[rank], version, &mut sandbox, trial, oracle);
         tally.fold(&infos, rank, version, shot, fixed);
+        if fixed {
+            break;
+        }
     }
-    tally.finish(&infos, config)
+    tally.finish(&infos, visits.len(), config)
 }
 
 /// One trial: patch the rollback into `sandbox`, render, judge, undo.
@@ -217,8 +224,9 @@ pub(crate) fn run_trial(
 }
 
 /// The search's running state. Trials are folded strictly in plan order,
-/// which is what makes every counter — first fix, trials-to-fix, unique
-/// screenshots at the fix — independent of how the trials were executed.
+/// up to and including the first fix, which is what makes every counter —
+/// first fix, trials-to-fix, unique screenshots at the fix — independent
+/// of how the trials were executed.
 #[derive(Debug)]
 pub(crate) struct Tally {
     gallery: ScreenshotGallery,
@@ -246,7 +254,8 @@ impl Tally {
     }
 
     /// Folds the next trial of the plan: rolling back `infos[rank]` to
-    /// `version` rendered `shot`, which the oracle judged `fixed`.
+    /// `version` rendered `shot`, which the oracle judged `fixed`. The
+    /// caller folds nothing after a fix.
     pub(crate) fn fold(
         &mut self,
         infos: &[ClusterInfo],
@@ -255,9 +264,10 @@ impl Tally {
         shot: Screenshot,
         fixed: bool,
     ) {
+        debug_assert!(self.fix.is_none(), "folded a trial past the fix");
         self.trials += 1;
         self.gallery.record(shot);
-        if fixed && self.fix.is_none() {
+        if fixed {
             self.fix = Some(FixInfo {
                 cluster_rank: rank,
                 keys: infos[rank].keys.clone(),
@@ -268,17 +278,21 @@ impl Tally {
         }
     }
 
-    /// The outcome of the folded trials.
-    pub(crate) fn finish(self, infos: &[ClusterInfo], config: &SearchConfig) -> SearchOutcome {
+    /// The outcome of the folded trials over a plan of `plan_len` entries.
+    pub(crate) fn finish(
+        self,
+        infos: &[ClusterInfo],
+        plan_len: usize,
+        config: &SearchConfig,
+    ) -> SearchOutcome {
         SearchOutcome {
             trials_to_fix: self.trials_to_fix,
-            total_trials: self.trials,
+            total_trials: plan_len,
             screenshots_to_fix: self.screenshots_to_fix,
-            total_screenshots: self.gallery.len(),
             time_to_fix: self
                 .trials_to_fix
                 .map(|n| config.trial_cost.scale(n as u64)),
-            total_time: config.trial_cost.scale(self.trials as u64),
+            total_time: config.trial_cost.scale(plan_len as u64),
             clusters_searched: infos.iter().filter(|i| !i.versions.is_empty()).count(),
             fix: self.fix,
         }
@@ -447,10 +461,15 @@ mod tests {
 
     #[test]
     fn screenshots_are_deduplicated() {
-        let ttkv = dependent_store();
+        let mut ttkv = dependent_store();
+        // A rarely modified key sorts ahead of the pair, so its two
+        // rollbacks run before the fix.
+        ttkv.write(ts(5000), "app/theme", Value::from("dark"));
+        ttkv.write(ts(6000), "app/theme", Value::from("light"));
         let clusters = vec![
             vec![Key::new("app/enabled"), Key::new("app/mode")],
             vec![Key::new("app/geometry")],
+            vec![Key::new("app/theme")],
         ];
         let outcome = search(
             &ttkv,
@@ -459,10 +478,54 @@ mod tests {
             &FixOracle::element_visible("panel"),
             &SearchConfig::default(),
         );
-        // Geometry rollbacks all render identically to the erroneous
+        // The theme rollbacks render identically to the erroneous
         // baseline, so the gallery holds just the fixed shot.
-        assert_eq!(outcome.total_screenshots, 1);
+        assert_eq!(outcome.trials_to_fix, Some(3));
         assert_eq!(outcome.screenshots_to_fix, 1);
+    }
+
+    #[test]
+    fn the_search_stops_at_the_first_fix() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let mut ttkv = dependent_store();
+        // Ten more geometry versions, one every 10 s, all after the pair's.
+        for i in 0..10 {
+            ttkv.write(ts(4000 + 10 * i), "app/geometry", Value::from(-1));
+        }
+        let clusters = vec![
+            vec![Key::new("app/enabled"), Key::new("app/mode")],
+            vec![Key::new("app/geometry")],
+        ];
+        let oracle = FixOracle::element_visible("panel");
+        let config = SearchConfig::default();
+        let renders = Arc::new(AtomicUsize::new(0));
+        let counted = {
+            let (renders, panel) = (Arc::clone(&renders), panel_trial());
+            Trial::new("counted", move |config| {
+                renders.fetch_add(1, Ordering::SeqCst);
+                panel.run(config)
+            })
+        };
+        let runs: [&dyn Fn() -> SearchOutcome; 2] = [
+            &|| search(&ttkv, &clusters, &counted, &oracle, &config),
+            &|| crate::parallel_search(&ttkv, &clusters, &counted, &oracle, &config, 1),
+        ];
+        for run in runs {
+            renders.store(0, Ordering::SeqCst);
+            let outcome = run();
+            assert!(outcome.total_trials >= 10, "{outcome:?}");
+            assert_eq!(
+                outcome.total_time,
+                config.trial_cost.scale(outcome.total_trials as u64)
+            );
+            // The baseline render, then trials up to and including the fix.
+            let trials_to_fix = outcome
+                .trials_to_fix
+                .expect("the pair's newest version fixes");
+            assert_eq!(renders.load(Ordering::SeqCst), trials_to_fix + 1);
+        }
     }
 
     #[test]

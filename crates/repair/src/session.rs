@@ -187,7 +187,8 @@ impl RepairSession {
         self.threads
     }
 
-    /// Runs the rollback search to exhaustion and reports the outcome.
+    /// Runs the rollback search until its first fix (or through the whole
+    /// plan, if nothing fixes) and reports the outcome.
     pub fn run(&self, trial: &Trial, oracle: &FixOracle) -> SessionReport {
         self.run_observed(trial, oracle, |_| {})
     }

@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 
+use ocasta_cluster::{TransactionWindow, WriteEvent};
 use ocasta_repair::{
-    parallel_search, search, singleton_clusters, sorted_cluster_infos, FixInfo, FixOracle,
-    Screenshot, ScreenshotGallery, SearchConfig, SearchOutcome, SearchStrategy, Trial,
+    parallel_search, search, singleton_clusters, sorted_cluster_infos, ClusterInfo, FixInfo,
+    FixOracle, Screenshot, ScreenshotGallery, SearchConfig, SearchOutcome, SearchStrategy, Trial,
 };
 use ocasta_ttkv::{Key, TimeDelta, Timestamp, Ttkv, Value};
 
@@ -152,14 +153,99 @@ fn reference_search(
         trials_to_fix,
         total_trials: plan.len(),
         screenshots_to_fix,
-        total_screenshots: gallery.len(),
         time_to_fix: trials_to_fix.map(|n| config.trial_cost.scale(n as u64)),
         total_time: config.trial_cost.scale(plan.len() as u64),
         clusters_searched: infos.iter().filter(|i| !i.versions.is_empty()).count(),
     }
 }
 
+/// The whole-history reference for [`ClusterInfo::build`]: every member
+/// key's surviving mutation times, merged and sorted, grouped by the
+/// window, and only then filtered to the bounds.
+fn reference_cluster_info(
+    ttkv: &Ttkv,
+    keys: Vec<Key>,
+    window: TimeDelta,
+    start: Option<Timestamp>,
+    end: Option<Timestamp>,
+) -> ClusterInfo {
+    let records: Vec<_> = keys
+        .iter()
+        .filter_map(|k| ttkv.record(k.as_str()))
+        .collect();
+    let mut times: Vec<Timestamp> = records.iter().flat_map(|r| r.mutation_times()).collect();
+    times.sort_unstable();
+    let mut grouper = TransactionWindow::new(window.as_millis());
+    let mut versions = Vec::new();
+    for &t in &times {
+        if !grouper.is_open() || grouper.would_close(t.as_millis()) {
+            versions.push(t);
+        }
+        grouper.push(WriteEvent::new(0, t.as_millis()));
+    }
+    versions.retain(|&t| start.is_none_or(|s| t >= s) && end.is_none_or(|e| t <= e));
+    versions.reverse();
+    ClusterInfo {
+        modifications: records.iter().map(|r| r.modifications()).sum(),
+        last_modified: records
+            .iter()
+            .filter_map(|r| r.last_mutation_watermark())
+            .max(),
+        keys,
+        versions,
+    }
+}
+
+/// A random history on a 500 ms grid (1 s to 20.5 s) over four keys, with
+/// deletes: each entry is (key, grid step, value), and `None` deletes.
+/// Several keys landing on one step give ties across keys.
+fn grid_history() -> impl Strategy<Value = Vec<(u8, u64, Option<i64>)>> {
+    let entry = (0u8..4, 2u64..42, prop::bool::weighted(0.8), 0i64..4)
+        .prop_map(|(k, step, write, v)| (k, step, write.then_some(v)));
+    prop::collection::vec(entry, 1..50)
+}
+
 proptest! {
+    /// Reading each key's history only from its last mutation before
+    /// `start` through `end` builds exactly the cluster info the whole
+    /// history builds. Bounds fall on a 250 ms grid, so they land on grid
+    /// mutations, between them and outside the history, in either order
+    /// (`end < start` included); a prune at a random horizon exercises
+    /// records whose history begins after a baseline.
+    #[test]
+    fn bounded_history_scan_equals_whole_history_scan(
+        entries in grid_history(),
+        members in prop::collection::vec(any::<bool>(), 4),
+        window in 500u64..=1_500,
+        start in (any::<bool>(), 0u64..=90),
+        end in (any::<bool>(), 0u64..=90),
+        prune in (any::<bool>(), 0u64..=90),
+    ) {
+        // Each `(set, step)` is an optional point on a 250 ms grid.
+        let quarter = |(set, step): (bool, u64)| set.then(|| Timestamp::from_millis(step * 250));
+        let mut ttkv = Ttkv::new();
+        for &(k, step, v) in &entries {
+            let (at, key) = (Timestamp::from_millis(step * 500), Key::new(format!("app/k{k}")));
+            match v {
+                Some(v) => ttkv.write(at, key, Value::from(v)),
+                None => ttkv.delete(at, key),
+            }
+        }
+        if let Some(horizon) = quarter(prune) {
+            ttkv.prune_before(horizon);
+        }
+        let keys: Vec<Key> = (0..4)
+            .filter(|&k| members[k])
+            .map(|k| Key::new(format!("app/k{k}")))
+            .collect();
+        let window = TimeDelta::from_millis(window);
+        let (start, end) = (quarter(start), quarter(end));
+        prop_assert_eq!(
+            ClusterInfo::build(&ttkv, keys.clone(), window, start, end),
+            reference_cluster_info(&ttkv, keys, window, start, end)
+        );
+    }
+
     /// The copy-free search equals the clone-per-trial reference field for
     /// field: patching one sandbox in place and undoing the patch after
     /// every trial is indistinguishable from rendering a fresh copy. Deletes

@@ -38,7 +38,7 @@ impl fmt::Display for TtkvError {
         match self {
             TtkvError::Io(e) => write!(f, "i/o error: {e}"),
             TtkvError::Parse { line, message } => {
-                write!(f, "malformed ttkv data at line {line}: {message}")
+                write!(f, "malformed trace data at line {line}: {message}")
             }
             TtkvError::Corrupt { offset, message } => {
                 write!(f, "corrupt ttkv segment at byte {offset}: {message}")
@@ -73,7 +73,7 @@ mod tests {
             line: 3,
             message: "bad token".into(),
         };
-        assert_eq!(e.to_string(), "malformed ttkv data at line 3: bad token");
+        assert_eq!(e.to_string(), "malformed trace data at line 3: bad token");
         let c = TtkvError::corrupt(17, "checksum mismatch");
         assert_eq!(
             c.to_string(),

@@ -94,7 +94,7 @@ fn search_with_no_versions_reports_unfixed() {
     );
     assert!(!outcome.is_fixed());
     assert_eq!(outcome.total_trials, 0);
-    assert_eq!(outcome.total_screenshots, 0);
+    assert_eq!(outcome.screenshots_to_fix, 0);
 }
 
 #[test]

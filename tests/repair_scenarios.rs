@@ -2,7 +2,7 @@
 
 use ocasta::{
     parallel_search, prepare_store, run_noclust, run_scenario, scenarios, search, ClusterParams,
-    Ocasta, ScenarioConfig, SearchConfig, SearchStrategy, TimeDelta,
+    FixOracle, Ocasta, ScenarioConfig, SearchConfig, SearchStrategy, TimeDelta,
 };
 
 fn config_for(scenario: &ocasta::ErrorScenario) -> ScenarioConfig {
@@ -157,12 +157,13 @@ fn injection_age_affects_search_depth() {
 
 #[test]
 fn parallel_search_equals_sequential_as_the_history_grows() {
-    // Error #13 (Chrome's missing bookmark bar) over ever longer traces,
-    // searched exhaustively so the plan grows with the history: every
-    // parallel outcome must equal the sequential one as a whole
-    // `SearchOutcome`, at 2 and 4 executors. (The shortest trace must
-    // exceed the 14-day injection age, or the injection saturates to the
-    // epoch and rolls back onto itself.)
+    // Error #13 (Chrome's missing bookmark bar) over ever longer traces:
+    // every parallel outcome must equal the sequential one as a whole
+    // `SearchOutcome`, at 2 and 4 executors. The scenario's oracle stops
+    // each search at its fix; a never-fixing oracle folds the whole plan,
+    // which grows with the history. (The shortest trace must exceed the
+    // 14-day injection age, or the injection saturates to the epoch and
+    // rolls back onto itself.)
     let base = scenarios().into_iter().find(|s| s.id == 13).unwrap();
     let mut shorter_plan = 0;
     for days in [21, 42, 63, 84] {
@@ -179,24 +180,31 @@ fn parallel_search_equals_sequential_as_the_history_grows() {
             trial_cost: scenario.trial_cost,
             ..SearchConfig::default()
         };
-        let (trial, oracle) = (scenario.trial(), scenario.oracle());
-        let sequential = search(&store, clusters.clusters(), &trial, &oracle, &search_config);
-        assert!(sequential.is_fixed(), "error #13 at {days} days");
-        assert!(sequential.total_trials > shorter_plan, "{days} days");
-        shorter_plan = sequential.total_trials;
-        for executors in [2, 4] {
-            let parallel = parallel_search(
-                &store,
-                clusters.clusters(),
-                &trial,
-                &oracle,
-                &search_config,
-                executors,
-            );
-            assert_eq!(
-                parallel, sequential,
-                "parallel({executors}) != sequential at {days} days"
-            );
+        let trial = scenario.trial();
+        let mut plan = 0;
+        for (oracle, fixes) in [
+            (scenario.oracle(), true),
+            (FixOracle::new(|_| false), false),
+        ] {
+            let sequential = search(&store, clusters.clusters(), &trial, &oracle, &search_config);
+            assert_eq!(sequential.is_fixed(), fixes, "error #13 at {days} days");
+            for executors in [2, 4] {
+                let parallel = parallel_search(
+                    &store,
+                    clusters.clusters(),
+                    &trial,
+                    &oracle,
+                    &search_config,
+                    executors,
+                );
+                assert_eq!(
+                    parallel, sequential,
+                    "parallel({executors}) != sequential at {days} days, fixes={fixes}"
+                );
+            }
+            plan = sequential.total_trials;
         }
+        assert!(plan > shorter_plan, "{days} days");
+        shorter_plan = plan;
     }
 }

@@ -386,6 +386,6 @@ fn pinned_sessions_repair_identically_under_retention() {
         );
         assert_eq!(oa.trials_to_fix, ob.trials_to_fix);
         assert_eq!(oa.total_trials, ob.total_trials);
-        assert_eq!(oa.total_screenshots, ob.total_screenshots);
+        assert_eq!(oa.screenshots_to_fix, ob.screenshots_to_fix);
     }
 }

@@ -17,8 +17,9 @@ use ocasta_obs::{Counter, Gauge, Histogram, Registry};
 /// per-session lifecycle latencies and the retention-pin clamp events.
 #[derive(Debug, Clone)]
 pub struct ServiceMetrics {
-    /// `service.session.open_us` — session setup: scenario injection into
-    /// the pinned snapshot plus search construction.
+    /// `service.session.open_us` — session setup: materializing the epoch
+    /// pin into the session's private store, which is most of it, then
+    /// scenario injection and search construction.
     pub session_open: Arc<Histogram>,
     /// `service.session.step_us` — the rollback search itself (trial loop
     /// to the first fix, or through the whole plan if nothing fixes).
@@ -32,11 +33,6 @@ pub struct ServiceMetrics {
     /// to the retention pin (history below it was already pruned
     /// fleet-wide before the session registered).
     pub pin_clamps: Arc<Counter>,
-    /// `service.pin_advances` — progress reports that fed the shared
-    /// retention pin: after each trial wave a session re-publishes the
-    /// oldest history its remaining plan needs, and the pin advances to
-    /// the minimum over all live sessions (`DESIGN.md §5.9`).
-    pub pin_advances: Arc<Counter>,
 }
 
 impl ServiceMetrics {
@@ -49,7 +45,6 @@ impl ServiceMetrics {
             session_commit: registry.histogram("service.session.commit_us"),
             sessions: registry.counter("service.sessions"),
             pin_clamps: registry.counter("service.pin_clamps"),
-            pin_advances: registry.counter("service.pin_advances"),
         }
     }
 }
@@ -103,7 +98,6 @@ mod tests {
             "service.session.commit_us",
             "service.sessions",
             "service.pin_clamps",
-            "service.pin_advances",
             "stream.absorb_us",
             "stream.clustering_us",
             "stream.absorb.batches",

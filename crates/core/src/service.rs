@@ -18,16 +18,18 @@
 //!    concurrently, each with its own trial-executor pool — while
 //!    ingestion continues underneath;
 //! 5. with a retention policy on the fleet engine, a sweeper prunes the
-//!    live shards to a rolling horizon the whole time — clamped through a
-//!    shared [`HorizonGuard`] to the sessions' pin, which is registered
-//!    *before* the snapshot is taken, so pinned searches stay valid by
-//!    construction.
+//!    live shards to a rolling horizon the whole time. Through a shared
+//!    [`HorizonGuard`] it is clamped to the service's retention pin only
+//!    from the pin's registration, before the catalog, to the epoch pin:
+//!    from then on every session searches its own materialization of the
+//!    epoch pin, which no sweep can change, so the pin is dropped before
+//!    any session starts and sweeps run unclamped under the searches.
 //!
 //! The session lifecycle, snapshot-consistency argument and the
 //! parallel-search equivalence proof live in `DESIGN.md §5.8`; the
 //! retention ordering argument is `DESIGN.md §5.9`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ocasta_apps::{scenarios, ErrorScenario};
@@ -37,8 +39,8 @@ use ocasta_fleet::{
 };
 use ocasta_obs::Stopwatch;
 use ocasta_repair::{
-    CatalogHorizon, ClusterCatalog, HorizonGuard, HorizonPin, RepairSession, SearchConfig,
-    SearchStrategy, SessionReport,
+    CatalogHorizon, ClusterCatalog, HorizonGuard, RepairSession, SearchConfig, SearchStrategy,
+    SessionReport,
 };
 use ocasta_ttkv::{TimeDelta, Timestamp, TtkvStats};
 
@@ -129,17 +131,13 @@ pub struct RepairServiceRun {
     pub pinned_mid_ingest: bool,
     /// Access statistics of the pinned history snapshot.
     pub snapshot_stats: TtkvStats,
-    /// The retention pin the sessions held: the oldest timestamp their
-    /// searches could touch, registered with the [`HorizonGuard`] *before*
-    /// the snapshot was taken so no concurrent retention sweep could prune
-    /// past it (`DESIGN.md §5.9`). Epoch when the search is unbounded.
+    /// The service's retention pin: the oldest timestamp any session's
+    /// search could touch, registered with the [`HorizonGuard`] *before*
+    /// the epoch pin so no concurrent retention sweep could prune past it
+    /// until the epoch pin held the history, and released right after
+    /// (`DESIGN.md §5.9`). Sessions bound their searches at or after it.
+    /// Epoch when the search is unbounded.
     pub session_pin: Timestamp,
-    /// Where the sessions' shared pin stood when it was released: as each
-    /// session's remaining search plan shrank, its progress reports
-    /// advanced the pin ([`ocasta_ttkv::HorizonPin::advance`]) to the
-    /// minimum bound any still-running session needed, so long sessions
-    /// stop starving fleet-wide retention. Always `>= session_pin`.
-    pub final_pin: Timestamp,
     /// Every user's session, in user order.
     pub sessions: Vec<UserRepair>,
 }
@@ -200,16 +198,6 @@ pub fn run_repair_service(
     let fleet_metrics = observers.fleet.as_deref();
     let service_metrics = observers.service.as_deref();
 
-    // The pin-advance coordinator, shared by every session thread. Each
-    // session reports, after every trial wave, the oldest history its
-    // *remaining* plan still needs (`RepairSession::run_observed`); its
-    // slot records that bound, and the shared pin advances to the minimum
-    // over all slots — never past what any live session might still roll
-    // back to. Both live outside the thread scope so session threads can
-    // borrow them; the pin itself is parked here once registered.
-    let needs: Mutex<Vec<Timestamp>> = Mutex::new(Vec::new());
-    let shared_pin: Mutex<Option<HorizonPin<'_>>> = Mutex::new(None);
-
     let run = std::thread::scope(|scope| {
         let ingest_handle = scope.spawn(|| {
             let options = IngestOptions {
@@ -238,10 +226,11 @@ pub fn run_repair_service(
 
         // Pin, in order: retention pin first, catalog second, epoch pin
         // third. The retention pin covers the oldest history any session's
-        // bounded search can touch, so a concurrent retention sweep can
-        // never prune a version out from under the epoch about to be
-        // pinned; catalog-before-epoch-pin keeps the pinned history at or
-        // beyond the catalog's horizon (DESIGN.md §5.8, §5.9, §5.13).
+        // bounded search can touch, from its registration until the epoch
+        // pin holds that history, so a concurrent retention sweep can never
+        // prune a version out from under the epoch about to be pinned;
+        // catalog-before-epoch-pin keeps the pinned history at or beyond
+        // the catalog's horizon (DESIGN.md §5.8, §5.9, §5.13).
         // The sessions' bound will be `inject_at − days`, and injections
         // happen after the snapshot's end, so a bound computed from the
         // current frontier is a safe (earlier) stand-in. The slack below
@@ -260,15 +249,6 @@ pub fn run_repair_service(
         };
         let pin = guard.pin(oldest_needed);
         let session_pin = pin.timestamp();
-        // Arm the coordinator: slots start at the registration-time pin so
-        // an unreported session holds the line. Lock order everywhere is
-        // slots, then pin (slots guard dropped first).
-        *needs
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = vec![session_pin; config.users];
-        *shared_pin
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(pin);
         let live = stream.clustering();
         // The epoch pin is O(shards + tails) under the stripe locks:
         // sealed segments are shared by reference with every session, and
@@ -282,7 +262,11 @@ pub fn run_repair_service(
             m.pin_stall.record_duration(sw.elapsed());
             m.epoch_pins.inc();
         }
-        let snapshot = pinned.materialize();
+        // The epoch pin now holds every version a session can read, so the
+        // retention pin protects nothing more: releasing it here, before
+        // any session starts, lets sweeps run unclamped under the searches.
+        drop(pin);
+        let snapshot_stats = pinned.materialize().stats();
         // Sampled *after* the snapshot, so "mid-ingest" is conservative:
         // if ingestion is still running now, the pinned history was
         // certainly a prefix of a still-growing fleet.
@@ -307,8 +291,6 @@ pub fn run_repair_service(
                 // its private sandbox (the store it injects the error
                 // into and searches) inside its own thread.
                 let pin = pinned.clone();
-                let needs = &needs;
-                let shared_pin = &shared_pin;
                 scope.spawn(move || {
                     run_user_session(
                         config,
@@ -317,29 +299,19 @@ pub fn run_repair_service(
                         pin,
                         catalog,
                         session_pin,
-                        needs,
-                        shared_pin,
                         service_metrics,
                     )
                 })
             })
             .collect();
+        // Every session holds its own clone now. Dropping this one lets the
+        // segments a later sweep replaces free once the sessions have
+        // materialized.
+        drop(pinned);
         let sessions: Vec<UserRepair> = session_handles
             .into_iter()
             .map(|h| h.join().expect("repair session panicked"))
             .collect();
-        // Sessions own their snapshots; the (possibly advanced) pin is
-        // released only now, so the retained window never moves out from
-        // under a live search.
-        let final_pin = {
-            let pin = shared_pin
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .take()
-                .expect("the pin is taken exactly once, after all sessions joined");
-            pin.timestamp()
-            // `pin` drops here: protection released.
-        };
         let ingest = ingest_handle.join().expect("ingest thread panicked");
 
         RepairServiceRun {
@@ -348,9 +320,8 @@ pub fn run_repair_service(
             catalog_clusters,
             catalog_multi,
             pinned_mid_ingest,
-            snapshot_stats: snapshot.stats(),
+            snapshot_stats,
             session_pin,
-            final_pin,
             sessions,
         }
     });
@@ -359,7 +330,6 @@ pub fn run_repair_service(
 
 /// One user: materialize the epoch pin, inject the scenario into the
 /// private store, search, report.
-#[allow(clippy::too_many_arguments)]
 fn run_user_session(
     config: &RepairServiceConfig,
     user: usize,
@@ -367,8 +337,6 @@ fn run_user_session(
     pin: EpochSnapshot,
     catalog: ClusterCatalog,
     session_pin: Timestamp,
-    needs: &Mutex<Vec<Timestamp>>,
-    shared_pin: &Mutex<Option<HorizonPin<'_>>>,
     metrics: Option<&ServiceMetrics>,
 ) -> UserRepair {
     let open_started = Stopwatch::start_if(metrics.is_some());
@@ -411,31 +379,7 @@ fn run_user_session(
         m.session_open.record_duration(sw.elapsed());
     }
     let step_started = Stopwatch::start_if(metrics.is_some());
-    let report = session.run_observed(&scenario.trial(), &scenario.oracle(), |needed| {
-        // Record this session's shrinking need, then advance the shared
-        // pin to the minimum over everyone — the oldest history any live
-        // session might still roll back to. Slots guard dropped before
-        // taking the pin lock (fixed lock order, no deadlock).
-        let target = {
-            let mut slots = needs
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            // Reports are monotone per session, but max() keeps the slot
-            // monotone even under a buggy or reordered observer.
-            slots[user] = slots[user].max(needed);
-            slots.iter().copied().min().expect("users >= 1")
-        };
-        if let Some(pin) = shared_pin
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .as_mut()
-        {
-            pin.advance(target);
-        }
-        if let Some(m) = metrics {
-            m.pin_advances.inc();
-        }
-    });
+    let report = session.run(&scenario.trial(), &scenario.oracle());
     if let (Some(m), Some(sw)) = (metrics, step_started) {
         m.session_step.record_duration(sw.elapsed());
     }
@@ -600,12 +544,6 @@ mod tests {
         assert!(
             run.session_pin > Timestamp::EPOCH,
             "bounded search pins late"
-        );
-        assert!(
-            run.final_pin >= run.session_pin,
-            "the shared pin only advances: {} vs {}",
-            run.final_pin,
-            run.session_pin,
         );
 
         // The pruned snapshot is strictly smaller in memory...

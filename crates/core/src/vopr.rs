@@ -576,11 +576,11 @@ fn run_feed_scenario(
     let mut wal = Wal::open(dir).map_err(|e| format!("open scratch wal: {e}"))?;
 
     // sweep-vs-pin bookkeeping: where the pin registered, how many sweeps
-    // it clamped, and the first post-advance horizon.
+    // it clamped, and the horizon of the first sweep after its release.
     let mut pin: Option<HorizonPin<'_>> = None;
     let mut pin_at = Timestamp::EPOCH;
     let mut clamped_while_pinned = 0u64;
-    let mut post_advance_horizon: Option<Timestamp> = None;
+    let mut post_release_horizon: Option<Timestamp> = None;
 
     // pin-churn bookkeeping: short-lived sessions, each holding a
     // retention pin (so sweeps clamp around it, composing with the
@@ -651,21 +651,22 @@ fn run_feed_scenario(
                 pin = Some(guard.pin(pin_at));
             }
         }
-        let advance_now = scenario == "sweep-vs-pin" && i + 1 == (2 * total) / 3;
-        if advance_now {
-            if let (Some(p), Some(retain)) = (pin.as_mut(), retain) {
-                // The session's remaining plan shrank: it advances its pin
-                // to the current frontier, and the very next sweep passes
-                // the old pin while the pin is still held.
+        let release_now = scenario == "sweep-vs-pin" && i + 1 == (2 * total) / 3;
+        if release_now {
+            // The session's epoch pin now holds its history, as in the
+            // repair service: it releases its retention pin, and the very
+            // next sweep passes the old pin. The pin drops at the end of
+            // this statement, before the sweep asks for its horizon.
+            let released = pin.take().is_some();
+            if let (true, Some(retain)) = (released, retain) {
                 let frontier = sharded.last_mutation_time().unwrap_or(Timestamp::EPOCH);
-                p.advance(frontier);
                 let granted = guard.clamp(frontier.saturating_sub(retain));
                 if granted > Timestamp::EPOCH {
                     sharded.prune_before(granted);
                     wal.compact_pruned(PRECISION, granted)
                         .map_err(|e| format!("wal compact: {e}"))?;
                 }
-                post_advance_horizon = Some(granted);
+                post_release_horizon = Some(granted);
             }
         } else if let Some(retain) = retain {
             if i % 8 == 7 {
@@ -758,15 +759,15 @@ fn run_feed_scenario(
             });
         }
         "sweep-vs-pin" => {
-            let advanced = post_advance_horizon.unwrap_or(Timestamp::EPOCH);
+            let released = post_release_horizon.unwrap_or(Timestamp::EPOCH);
             checks.push(VoprCheck {
                 name: "pin-respected-then-advanced",
-                passed: clamped_while_pinned >= 1 && advanced > pin_at && final_horizon >= advanced,
+                passed: clamped_while_pinned >= 1 && released > pin_at && final_horizon >= released,
                 detail: format!(
                     "{clamped_while_pinned} sweeps clamped at pin {}ms, \
-                     post-advance horizon {}ms, final {}ms",
+                     post-release horizon {}ms, final {}ms",
                     pin_at.as_millis(),
-                    advanced.as_millis(),
+                    released.as_millis(),
                     final_horizon.as_millis(),
                 ),
             });

@@ -24,10 +24,10 @@
 //!   a point-in-time history view) so sessions proceed while fleet
 //!   ingestion continues;
 //! * [`HorizonGuard`] (re-exported from `ocasta-ttkv`) — the retention pin
-//!   registry: before snapshotting, a session pins
+//!   registry: before snapshotting, a driver pins
 //!   [`SearchConfig::oldest_history_needed`] so concurrent retention
-//!   sweeps never prune versions the search might roll back to
-//!   (`DESIGN.md §5.9`);
+//!   sweeps never prune versions the search might roll back to, and drops
+//!   the pin once the session owns its snapshot (`DESIGN.md §5.9`);
 //! * [`singleton_clusters`] — the `Ocasta-NoClust` baseline (roll back one
 //!   setting at a time);
 //! * [`simulate_case`] — the Figure 4 user-study model.
@@ -69,7 +69,7 @@ mod trial;
 mod user_model;
 
 pub use history::{singleton_clusters, sorted_cluster_infos, ClusterInfo};
-pub use parallel::{parallel_search, parallel_search_observed};
+pub use parallel::parallel_search;
 pub use screenshot::{Screenshot, ScreenshotGallery};
 pub use search::{search, FixInfo, SearchConfig, SearchOutcome, SearchStrategy};
 pub use session::{CatalogHorizon, ClusterCatalog, RepairSession, SessionReport};
@@ -77,6 +77,6 @@ pub use trial::{FixOracle, Trial};
 pub use user_model::{simulate_case, CaseStudyResult, CaseUserModel, UserStudyParams};
 
 // The retention pin registry lives in the store crate (it is shared with
-// the fleet tier's sweeper); sessions are its main client, so re-export it
-// here.
+// the fleet tier's sweeper); repair drivers pin through it before they
+// snapshot a session's history, so re-export it here.
 pub use ocasta_ttkv::{HorizonGuard, HorizonPin};

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use ocasta_ttkv::{Key, Timestamp, Ttkv};
+use ocasta_ttkv::{Key, Ttkv};
 
 use crate::history::sorted_cluster_infos;
 use crate::screenshot::Screenshot;
@@ -76,43 +76,6 @@ pub fn parallel_search(
     config: &SearchConfig,
     threads: usize,
 ) -> SearchOutcome {
-    parallel_search_observed(ttkv, clusters, trial, oracle, config, threads, |_| {})
-}
-
-/// [`parallel_search`] with a progress observer: each time another
-/// `threads` trials have been folded (the boundaries of `threads`-wide
-/// waves through the plan), `on_progress` receives the oldest history
-/// timestamp the **remaining** plan can still touch (via
-/// [`SearchConfig::oldest_history_needed`] applied to the oldest surviving
-/// candidate version — the single owner of the window-plus-millisecond
-/// slack).
-///
-/// The reported bound is monotone non-decreasing across waves: the plan
-/// only shrinks, so its oldest remaining candidate only moves forward. A
-/// repair driver holding an [`ocasta_ttkv::HorizonPin`] can therefore feed
-/// each report straight into [`ocasta_ttkv::HorizonPin::advance`], letting
-/// retention follow the search instead of stalling at the session's
-/// starting window for its whole life (the pin-starvation fix,
-/// `DESIGN.md §5.9`). Trials still in flight all sit at or past the folded
-/// prefix, so the bound covers them too. The observer runs on the
-/// coordinating thread; it does not perturb the search — outcomes equal
-/// [`parallel_search`]'s (and therefore the sequential search's) field for
-/// field.
-///
-/// The observer stops when the fold stops, at the first fix or at the
-/// plan's end, and is *not* called after that last fold with an
-/// "everything prunable" bound: releasing the last of the protection is the
-/// pin drop's job, and the driver may still read the pinned snapshot while
-/// assembling its report.
-pub fn parallel_search_observed(
-    ttkv: &Ttkv,
-    clusters: &[Vec<Key>],
-    trial: &Trial,
-    oracle: &FixOracle,
-    config: &SearchConfig,
-    threads: usize,
-    mut on_progress: impl FnMut(Timestamp),
-) -> SearchOutcome {
     let threads = threads.max(1);
     let infos = sorted_cluster_infos(
         ttkv,
@@ -122,16 +85,6 @@ pub fn parallel_search_observed(
         config.end_time,
     );
     let visits = plan(&infos, config.strategy);
-    // Suffix minima over candidate version timestamps: `oldest_after[i]` is
-    // the oldest version any trial from position `i` onward can roll back
-    // to — what the remaining plan still needs from history.
-    let mut oldest_after = visits
-        .iter()
-        .map(|&(_, version)| version)
-        .collect::<Vec<_>>();
-    for i in (1..oldest_after.len()).rev() {
-        oldest_after[i - 1] = oldest_after[i - 1].min(oldest_after[i]);
-    }
 
     let base = ttkv.snapshot_latest();
     let mut tally = Tally::new(trial.run(&base));
@@ -197,17 +150,6 @@ pub fn parallel_search_observed(
                 cursor.store(visits.len(), Ordering::Relaxed);
                 break;
             }
-            // Progress after every `threads` folded trials, never after the
-            // last: every trial still running or unclaimed sits at or past
-            // `folded`, so the suffix minimum bounds what it can touch.
-            let folded = tally.trials();
-            if folded.is_multiple_of(threads) && folded < visits.len() {
-                let remaining = SearchConfig {
-                    start_time: Some(oldest_after[folded]),
-                    ..config.clone()
-                };
-                on_progress(remaining.oldest_history_needed());
-            }
         }
     });
     tally.finish(&infos, visits.len(), config)
@@ -218,7 +160,7 @@ mod tests {
     use super::*;
     use crate::history::singleton_clusters;
     use crate::search::{search, SearchStrategy};
-    use ocasta_ttkv::Value;
+    use ocasta_ttkv::{Timestamp, Value};
 
     fn ts(s: u64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -270,63 +212,6 @@ mod tests {
                 assert_eq!(parallel, sequential, "threads={threads} {strategy:?}");
             }
             assert!(sequential.is_fixed());
-        }
-    }
-
-    #[test]
-    fn progress_observer_reports_monotone_bounds_without_perturbing_outcome() {
-        // A never-fixing oracle folds the whole plan (the pair's three
-        // versions, then geometry's one), so the waves run to its end. With
-        // a rarely modified key's two versions sorted ahead of the pair,
-        // the panel oracle fixes at the third trial and the fold stops.
-        let mut fix_third = dependent_store();
-        fix_third.write(ts(5000), "app/early", Value::from(1));
-        fix_third.write(ts(6000), "app/early", Value::from(2));
-        let cases = [
-            (dependent_store(), FixOracle::element_visible("never"), None),
-            (fix_third, FixOracle::element_visible("panel"), Some(3)),
-        ];
-        let config = SearchConfig::default();
-        for (ttkv, oracle, trials_to_fix) in cases {
-            let clusters = vec![
-                vec![Key::new("app/enabled"), Key::new("app/mode")],
-                vec![Key::new("app/geometry")],
-                vec![Key::new("app/early")],
-            ];
-            for threads in [1, 2, 4] {
-                let mut reports: Vec<Timestamp> = Vec::new();
-                let observed = parallel_search_observed(
-                    &ttkv,
-                    &clusters,
-                    &panel_trial(),
-                    &oracle,
-                    &config,
-                    threads,
-                    |t| reports.push(t),
-                );
-                let plain =
-                    parallel_search(&ttkv, &clusters, &panel_trial(), &oracle, &config, threads);
-                assert_eq!(observed, plain, "threads={threads}");
-                assert_eq!(observed.trials_to_fix, trials_to_fix);
-                // One report per completed `threads`-wide wave before the
-                // last fold — the fix, or the plan's end — and none after
-                // it: releasing protection is the pin drop's job.
-                let folded = observed.trials_to_fix.unwrap_or(observed.total_trials);
-                assert_eq!(
-                    reports.len(),
-                    (folded - 1) / threads,
-                    "threads={threads}: {reports:?}"
-                );
-                assert!(
-                    reports.windows(2).all(|w| w[0] <= w[1]),
-                    "bounds are monotone: {reports:?}"
-                );
-                // Every report is a bound the remaining plan honours: it
-                // never exceeds what the whole search needed at the start
-                // plus the full span of candidate versions.
-                let initial = config.oldest_history_needed();
-                assert!(reports.iter().all(|&t| t >= initial));
-            }
         }
     }
 

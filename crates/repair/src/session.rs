@@ -7,15 +7,19 @@
 //! [`RepairSession`] owns a point-in-time history snapshot plus a
 //! [`ClusterCatalog`] stamped with the stream horizon it was taken from
 //! ([`CatalogHorizon`]), and searches those while ingestion continues
-//! elsewhere. The facade crate (`ocasta`) builds sessions from live
-//! `ShardedTtkv` snapshots and `OcastaStream` clusterings; this module
-//! keeps the session machinery store-agnostic (see `DESIGN.md §5.8`).
+//! elsewhere. Because the session owns its history, it needs no retention
+//! pin while it searches: a driver holds one only until the snapshot is
+//! taken, and retention sweeps run freely under the search. The facade
+//! crate (`ocasta`) builds sessions from live `ShardedTtkv` epoch pins and
+//! `OcastaStream` clusterings; this module keeps the session machinery
+//! store-agnostic (see `DESIGN.md §5.8`, §5.9).
 
 use std::time::Duration;
 
 use ocasta_obs::Stopwatch;
 use ocasta_ttkv::{Key, Ttkv};
 
+use crate::parallel::parallel_search;
 use crate::search::{SearchConfig, SearchOutcome};
 use crate::trial::{FixOracle, Trial};
 
@@ -110,7 +114,7 @@ impl ClusterCatalog {
 ///
 /// A session owns its inputs — the history snapshot and the stamped
 /// catalog — so any number of sessions run concurrently against one fleet
-/// store without synchronising with ingestion or with each other.
+/// store without synchronising with ingestion, retention or each other.
 ///
 /// # Examples
 ///
@@ -190,31 +194,14 @@ impl RepairSession {
     /// Runs the rollback search until its first fix (or through the whole
     /// plan, if nothing fixes) and reports the outcome.
     pub fn run(&self, trial: &Trial, oracle: &FixOracle) -> SessionReport {
-        self.run_observed(trial, oracle, |_| {})
-    }
-
-    /// Like [`RepairSession::run`], with a progress observer: after each
-    /// wave of trials, `on_progress` receives the oldest history timestamp
-    /// the remaining plan still needs (see
-    /// [`parallel_search_observed`](crate::parallel_search_observed)).
-    /// A service driver holding a retention pin feeds these reports into
-    /// [`ocasta_ttkv::HorizonPin::advance`] so a long session stops
-    /// starving fleet-wide retention as its candidate window shrinks.
-    pub fn run_observed(
-        &self,
-        trial: &Trial,
-        oracle: &FixOracle,
-        on_progress: impl FnMut(ocasta_ttkv::Timestamp),
-    ) -> SessionReport {
         let started = Stopwatch::start();
-        let outcome = crate::parallel::parallel_search_observed(
+        let outcome = parallel_search(
             &self.store,
             self.catalog.clusters(),
             trial,
             oracle,
             &self.config,
             self.threads,
-            on_progress,
         );
         SessionReport {
             user: self.user.clone(),
@@ -323,62 +310,6 @@ mod tests {
         assert!(reports.iter().all(SessionReport::is_fixed));
         // Sessions over identical pinned inputs report identical outcomes.
         assert!(reports.windows(2).all(|w| w[0].outcome == w[1].outcome));
-    }
-
-    #[test]
-    fn long_session_advances_its_retention_pin_as_the_plan_shrinks() {
-        use ocasta_ttkv::HorizonGuard;
-
-        // Regression for retention-pin starvation: a session used to hold
-        // its registration-time pin unchanged for its whole life, so one
-        // long search froze fleet-wide retention at the session's
-        // *starting* window even after every old candidate had been tried.
-        // The search now reports, wave by wave, the oldest history its
-        // remaining plan needs, and the driver advances the pin.
-        let base = 100_000u64;
-        let mut store = Ttkv::new();
-        // The cluster searched first (fewest modifications) holds the
-        // oldest versions; once its trials are spent, nothing left in the
-        // plan needs them.
-        store.write(ts(base), "app/old", Value::from(1));
-        store.write(ts(base + 100), "app/old", Value::from(2));
-        // The cluster searched second only needs much newer history.
-        store.write(ts(base + 5_000), "app/new", Value::from(1));
-        store.write(ts(base + 5_100), "app/new", Value::from(2));
-        store.write(ts(base + 5_200), "app/new", Value::from(3));
-        let catalog =
-            ClusterCatalog::from_batch(vec![vec![Key::new("app/old")], vec![Key::new("app/new")]]);
-        let config = SearchConfig {
-            start_time: Some(ts(base)),
-            ..SearchConfig::default()
-        };
-        let guard = HorizonGuard::new();
-        let mut pin = guard.pin(config.oldest_history_needed());
-        let registered = pin.timestamp();
-
-        let session = RepairSession::new("marathon", store, catalog, config);
-        // The oracle never accepts, so the session tries every candidate —
-        // the long-session worst case.
-        let report = session.run_observed(
-            &Trial::new("launch", |_| Screenshot::new()),
-            &FixOracle::element_visible("never-appears"),
-            |needed| pin.advance(needed),
-        );
-        assert!(!report.is_fixed());
-        assert_eq!(report.outcome.total_trials, 5);
-
-        // While the session still holds its pin, retention is already
-        // unblocked past the starting window: the spent old candidates are
-        // prunable, the unsearched tail is not.
-        assert!(
-            pin.timestamp() > registered,
-            "pin advanced past registration: {} vs {registered}",
-            pin.timestamp()
-        );
-        let target = ts(base + 100_000);
-        assert_eq!(guard.clamp(target), pin.timestamp());
-        drop(pin);
-        assert_eq!(guard.clamp(target), target, "released on drop");
     }
 
     #[test]

@@ -233,12 +233,6 @@ impl SettingGroup {
         }
     }
 
-    /// Sets the partial-update probability.
-    pub fn with_partial_updates(mut self, prob: f64) -> Self {
-        self.partial_update_prob = prob;
-        self
-    }
-
     /// Sets the temporal write behaviour.
     pub fn with_behavior(mut self, behavior: GroupBehavior) -> Self {
         self.behavior = behavior;

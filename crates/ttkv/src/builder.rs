@@ -263,32 +263,6 @@ impl TtkvBuilder {
         store
     }
 
-    /// Builds the store the buffered state describes **without consuming
-    /// the builder** — the read-only-view primitive for live shards.
-    ///
-    /// A builder that keeps accepting writes (a fleet shard) can be read at
-    /// any moment by snapshotting: the result equals [`TtkvBuilder::build`]
-    /// on a clone taken now, and the builder's buffered state is untouched.
-    /// `ocasta-fleet`'s epoch pins use the same split for a shard's
-    /// mutable tail — copy-under-the-shard-lock + build-outside — so the
-    /// O(n log n) sort never runs inside a shard's critical section.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ocasta_ttkv::{Timestamp, TtkvBuilder, Value};
-    ///
-    /// let mut builder = TtkvBuilder::new();
-    /// builder.write(Timestamp::from_secs(1), "app/k", Value::from(1));
-    /// let view = builder.build_snapshot();
-    /// builder.write(Timestamp::from_secs(2), "app/k", Value::from(2));
-    /// assert_eq!(view.stats().writes, 1, "the view is pinned");
-    /// assert_eq!(builder.build().stats().writes, 2);
-    /// ```
-    pub fn build_snapshot(&self) -> Ttkv {
-        self.clone().build()
-    }
-
     /// Applies the base store and the buffered accesses to an existing
     /// store.
     ///

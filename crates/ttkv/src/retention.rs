@@ -15,6 +15,11 @@
 //! * sweep first → the pin is clamped **up** to the pruned-to floor, so
 //!   the reader learns at registration time that older history is gone
 //!   and can bound its queries accordingly.
+//!
+//! A pin is needed only while the reader still reads the live store. A
+//! reader whose view keeps its own history once taken — the repair
+//! service's epoch pin of a sharded store — drops its pin as soon as the
+//! view exists, so no sweep waits on the searches that follow.
 
 use std::fmt;
 use std::sync::Mutex;
@@ -124,23 +129,13 @@ impl HorizonGuard {
         let mut state = self.state.lock().expect("horizon guard poisoned");
         state.pins.retain(|(pin_id, _)| *pin_id != id);
     }
-
-    /// Moves pin `id` forward to `to` (never backward — a pin that
-    /// retreated could claim history a sweep already reclaimed). Returns
-    /// the pin's effective timestamp after the move.
-    fn advance_pin(&self, id: u64, to: Timestamp) -> Timestamp {
-        let mut state = self.state.lock().expect("horizon guard poisoned");
-        for (pin_id, at) in &mut state.pins {
-            if *pin_id == id {
-                *at = (*at).max(to);
-                return *at;
-            }
-        }
-        to
-    }
 }
 
 /// A live retention pin; releases on drop.
+///
+/// The pin stays at its registration timestamp for its whole life. Hold
+/// it only until the reader has its view: a view that keeps its own
+/// history (an epoch pin) needs no pin after it is taken.
 #[must_use = "dropping the pin immediately releases the history it protects"]
 pub struct HorizonPin<'g> {
     guard: &'g HorizonGuard,
@@ -154,22 +149,6 @@ impl HorizonPin<'_> {
     /// already pruned deeper — bound your queries to it.
     pub fn timestamp(&self) -> Timestamp {
         self.at
-    }
-
-    /// Advances the pin to `to`, releasing history before it for pruning
-    /// while the pin stays live. A no-op if `to` is not ahead of the
-    /// current pin — a pin never retreats (it could not reclaim protection
-    /// a sweep may already have consumed).
-    ///
-    /// This is what lets a long-lived reader stop starving retention: a
-    /// rollback search that has discarded its oldest candidates no longer
-    /// needs the history below the surviving plan, and advancing the pin
-    /// lets the sweeper follow it instead of stalling at the session's
-    /// starting window for the session's whole life (`DESIGN.md §5.9`).
-    pub fn advance(&mut self, to: Timestamp) {
-        if to > self.at {
-            self.at = self.guard.advance_pin(self.id, to);
-        }
     }
 }
 
@@ -228,23 +207,6 @@ mod tests {
         let _pin = guard.pin(ts(60));
         // A sweep with a smaller target cannot roll the floor back.
         assert_eq!(guard.clamp(ts(20)), ts(60));
-    }
-
-    #[test]
-    fn advancing_a_pin_unblocks_retention_without_releasing_it() {
-        let guard = HorizonGuard::new();
-        let mut pin = guard.pin(ts(10));
-        assert_eq!(guard.clamp(ts(100)), ts(10));
-        pin.advance(ts(60));
-        assert_eq!(pin.timestamp(), ts(60));
-        // The sweep can now reach the advanced pin, no further.
-        assert_eq!(guard.clamp(ts(100)), ts(60));
-        // A pin never retreats: an older target is a no-op.
-        pin.advance(ts(20));
-        assert_eq!(pin.timestamp(), ts(60));
-        assert_eq!(guard.clamp(ts(100)), ts(60));
-        drop(pin);
-        assert_eq!(guard.clamp(ts(100)), ts(100));
     }
 
     #[test]

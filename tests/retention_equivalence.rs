@@ -14,15 +14,17 @@
 //!   exactly `prune(horizon)` of the retention-off run, while every
 //!   post-horizon query and lifetime counter agrees;
 //! * **repair service**: a pinned session under a live sweeper repairs
-//!   exactly like the same session with retention off.
+//!   exactly like the same session with retention off, and an epoch pin
+//!   keeps the session's view after the service releases the retention
+//!   pin that guarded it.
 
 use std::path::Path;
 
 use ocasta::fleet::{fleet_machines, FleetRunConfig};
 use ocasta::{
-    fleet_ingest_live, FleetConfig, FleetReport, IngestOptions, KeyPlacement, MachineSpec,
-    RepairServiceConfig, RetentionPolicy, ServiceObservers, ShardedTtkv, TimeDelta, TimePrecision,
-    Timestamp, TraceOp, Ttkv, Wal, WorkloadSpec,
+    fleet_ingest_live, FleetConfig, FleetReport, HorizonGuard, IngestOptions, KeyPlacement,
+    MachineSpec, RepairServiceConfig, RetentionPolicy, SearchConfig, ServiceObservers, ShardedTtkv,
+    TimeDelta, TimePrecision, Timestamp, TraceOp, Ttkv, Wal, WorkloadSpec,
 };
 
 /// A small deterministic fleet (seeded workload generator).
@@ -388,4 +390,35 @@ fn pinned_sessions_repair_identically_under_retention() {
         assert_eq!(oa.total_trials, ob.total_trials);
         assert_eq!(oa.screenshots_to_fix, ob.screenshots_to_fix);
     }
+}
+
+#[test]
+fn an_epoch_pin_keeps_the_sessions_view_after_its_retention_pin_is_released() {
+    // The repair service's order: retention pin, epoch pin, release the
+    // retention pin, search. A small seal threshold makes the epoch pin
+    // share sealed segments that the sweep below rewrites.
+    let sharded = ShardedTtkv::with_seal_threshold(4, 64);
+    sharded.append_routed(feed(6, 20));
+    let frontier = sharded.last_mutation_time().expect("the feed is non-empty");
+    let guard = HorizonGuard::new();
+    let search = SearchConfig {
+        start_time: Some(frontier.saturating_sub(TimeDelta::from_days(3))),
+        ..SearchConfig::default()
+    };
+    let pin = guard.pin(search.oldest_history_needed());
+    let pinned_at = pin.timestamp();
+    let epoch = sharded.pin_epoch();
+    drop(pin);
+    let seen = epoch.materialize();
+
+    // A sweep past the released pin is granted in full and changes the
+    // live store...
+    let target = frontier.saturating_sub(TimeDelta::from_days(1));
+    assert!(target > pinned_at, "{target} vs {pinned_at}");
+    assert_eq!(guard.clamp(target), target, "a released pin clamps nothing");
+    assert!(sharded.prune_before(target).pruned_versions > 0);
+    sharded.gc_dead_shells();
+    assert_ne!(sharded.snapshot_store(), seen);
+    // ...but not the store the epoch pin holds.
+    assert_eq!(epoch.materialize(), seen);
 }

@@ -82,7 +82,7 @@ pub use ocasta_cluster::{
 };
 pub use ocasta_fleet::{
     diagnose, ingest_live as fleet_ingest_live, DoctorReport, FaultPlan, Finding, FleetConfig,
-    FleetMetrics, FleetReport, IngestError, IngestOptions, IngestTap, KeyPlacement, MachineSpec,
+    FleetMetrics, FleetReport, IngestError, IngestOptions, KeyPlacement, MachineSpec,
     RetentionPolicy, RetentionReport, Severity, ShardedTtkv, Wal, WalError, WalReader, WalWriter,
     WriteLanes, WAL_MAGIC,
 };

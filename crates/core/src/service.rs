@@ -524,7 +524,7 @@ mod tests {
             run_repair_service(&base, &ServiceObservers::default()).expect("service runs");
 
         // Retention on: keep 5 days behind the frontier — deeper than any
-        // session's 3-day search bound, which the pin enforces regardless.
+        // session's 3-day search bound reaches back.
         let mut config = base.clone();
         config.fleet.engine.retention = Some(RetentionPolicy {
             retain: TimeDelta::from_days(5),
@@ -537,8 +537,13 @@ mod tests {
         assert!(retention.reclaimed.pruned_versions > 0);
         let horizon = retention.horizon.expect("swept");
         assert!(
+            !run.pinned_mid_ingest,
+            "min_catalog_events = u64::MAX pins only after ingestion, and every sweep, ended"
+        );
+        assert!(
             horizon <= run.session_pin,
-            "sweeps never pass the session pin: {horizon} vs {}",
+            "the pin was taken after the last sweep, and retention (5 d) keeps more than the \
+             sessions' 3-day bound reaches back: {horizon} vs {}",
             run.session_pin,
         );
         assert!(

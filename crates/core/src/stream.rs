@@ -426,7 +426,6 @@ mod tests {
 
     #[test]
     fn drain_lanes_pulls_from_a_fleet_tap() {
-        use ocasta_fleet::IngestTap;
         use ocasta_trace::{AccessEvent, TraceOp};
         let lanes = WriteLanes::new(2);
         let op = TraceOp::Mutation(AccessEvent::write(

@@ -5,7 +5,8 @@
 //! the odd one out (line-oriented text, `ocasta_ttkv::codec`); since
 //! `ocasta-ttkv binary v2` they use the same value-tag space (0x00–0x06)
 //! and the same FNV-1a checksum family as these frames — text survives
-//! only as the read-only import / explicit-export path:
+//! only as a write-only export (`Ttkv::save_text`, `ocasta export`) that
+//! nothing reads back:
 //!
 //! ```text
 //! op    := 0x01 u64:timestamp_ms key value      -- write

@@ -37,7 +37,7 @@ use ocasta_ttkv::{HorizonGuard, Key, PruneStats, TimeDelta, TimePrecision, Times
 use crate::fault::{panic_message, FaultPlan, IngestError};
 use crate::metrics::FleetMetrics;
 use crate::shard::ShardedTtkv;
-use crate::tap::IngestTap;
+use crate::tap::WriteLanes;
 use crate::wal::{quantized, Wal, WalError};
 
 /// One simulated machine in the fleet: a named seed-deterministic workload.
@@ -100,10 +100,10 @@ pub struct RetentionPolicy {
     /// Simulated trace time kept behind the ingest frontier; older
     /// versions collapse into per-key baselines.
     pub retain: TimeDelta,
-    /// Minimum horizon advance between sweeps. Sweeps are incremental —
-    /// O(ops since the last sweep + versions reclaimed), both in the
-    /// shards and on the WAL lane — so this paces bookkeeping overhead
-    /// (layer files, stats traffic), not a rebuild stall as it once did.
+    /// Minimum horizon advance between sweeps. Each sweep seals every
+    /// shard's tail and rewrites the sealed segments that hold history
+    /// older than the new horizon (`DESIGN.md §5.10`), and the WAL lane
+    /// writes one delta layer; this paces that work.
     pub min_interval: TimeDelta,
 }
 
@@ -249,14 +249,13 @@ impl std::fmt::Display for FleetReport {
 pub struct IngestOptions<'a> {
     /// Append every accepted batch to this WAL before it is applied.
     pub wal: Option<&'a mut Wal>,
-    /// Invoke on every accepted batch — the live-analytics hook (see
-    /// [`IngestTap`] and [`crate::WriteLanes`]). The tap runs on the
-    /// ingest workers' threads, outside the shard locks; batches reach it
-    /// after placement and timestamp quantisation — as the store sees
-    /// them — and only *after* the shard has applied them, so everything a
-    /// tap consumer has observed is already readable through a store
-    /// snapshot.
-    pub tap: Option<&'a dyn IngestTap>,
+    /// Hand every accepted batch to these lanes — the live-analytics hook
+    /// (see [`WriteLanes::on_batch`]). The tap runs on the ingest workers'
+    /// threads, outside the shard locks; batches reach it after placement
+    /// and timestamp quantisation — as the store sees them — and only
+    /// *after* the shard has applied them, so everything a tap consumer
+    /// has observed is already readable through a store snapshot.
+    pub tap: Option<&'a WriteLanes>,
     /// Clamp retention sweeps to this registry's live pins. Without a
     /// guard, a configured [`RetentionPolicy`] sweeps unclamped.
     pub guard: Option<&'a HorizonGuard>,
@@ -467,6 +466,31 @@ pub fn ingest_live(
                     let wal_tx = wal_tx.clone();
                     scope.spawn(move || {
                         let shard_count = sharded.shard_count();
+                        // One shard batch. The WAL send happens under the
+                        // shard lock so the log's per-shard order equals
+                        // apply order. The tap fires outside the shard lock
+                        // (it can slow this worker, never a stripe) and
+                        // strictly *after* the apply: anything a tap
+                        // consumer has observed is already readable in the
+                        // store, so a live snapshot pinned after a lane
+                        // drain always contains the drained events (§5.8).
+                        // The clone is tap-path-only.
+                        let flush = |shard: usize, batch: Vec<TraceOp>| {
+                            let tapped = tap.map(|_| batch.clone());
+                            sharded.append_batch_observed(
+                                shard,
+                                batch,
+                                |b| {
+                                    if let Some(tx) = &wal_tx {
+                                        let _ = tx.send(WalMsg::Batch(b.to_vec()));
+                                    }
+                                },
+                                metrics,
+                            );
+                            if let (Some(tap), Some(batch)) = (tap, tapped) {
+                                tap.on_batch(shard, &batch);
+                            }
+                        };
                         loop {
                             let machine_idx = {
                                 let queue = lock_ignore_poison(work_rx);
@@ -535,51 +559,12 @@ pub fn ingest_live(
                                                 bucket,
                                                 Vec::with_capacity(config.batch_size),
                                             );
-                                            // The tap fires outside the shard lock
-                                            // (it can slow this worker, never a
-                                            // stripe) and strictly *after* the
-                                            // apply: anything a tap consumer has
-                                            // observed is already readable in the
-                                            // store, so a live snapshot pinned
-                                            // after a lane drain always contains
-                                            // the drained events (§5.8). The clone
-                                            // is tap-path-only.
-                                            let tapped = tap.map(|_| batch.clone());
-                                            // The WAL send happens under the shard
-                                            // lock so the log's per-shard order
-                                            // equals apply order.
-                                            sharded.append_batch_observed(
-                                                shard,
-                                                batch,
-                                                |b| {
-                                                    if let Some(tx) = &wal_tx {
-                                                        let _ = tx.send(WalMsg::Batch(b.to_vec()));
-                                                    }
-                                                },
-                                                metrics,
-                                            );
-                                            if let (Some(tap), Some(batch)) = (tap, tapped) {
-                                                tap.on_batch(shard, &batch);
-                                            }
+                                            flush(shard, batch);
                                         }
                                     }
                                     for (shard, batch) in batches.into_iter().enumerate() {
-                                        if batch.is_empty() {
-                                            continue;
-                                        }
-                                        let tapped = tap.map(|_| batch.clone());
-                                        sharded.append_batch_observed(
-                                            shard,
-                                            batch,
-                                            |b| {
-                                                if let Some(tx) = &wal_tx {
-                                                    let _ = tx.send(WalMsg::Batch(b.to_vec()));
-                                                }
-                                            },
-                                            metrics,
-                                        );
-                                        if let (Some(tap), Some(batch)) = (tap, tapped) {
-                                            tap.on_batch(shard, &batch);
+                                        if !batch.is_empty() {
+                                            flush(shard, batch);
                                         }
                                     }
                                     Ok((mutations, reads))

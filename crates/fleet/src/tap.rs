@@ -1,13 +1,13 @@
-//! The ingestion tap: subscribers that observe batches as they land.
+//! The ingestion tap: per-shard lanes that observe batches as they land.
 //!
 //! Live analytics (streaming clustering, monitoring) must see the event
-//! flow *while* ingestion runs, without slowing it down. An [`IngestTap`]
-//! is invoked by every ingest worker for every accepted batch, on the
-//! worker's own thread and **outside the shard lock** — a tap can therefore
-//! never extend a stripe's critical section, only the tapping worker's own
-//! wall-clock.
+//! flow *while* ingestion runs, without slowing it down. With
+//! `IngestOptions::tap` set, every ingest worker hands every accepted
+//! batch to [`WriteLanes::on_batch`], on the worker's own thread and
+//! **outside the shard lock** — the tap can therefore never extend a
+//! stripe's critical section, only the tapping worker's own wall-clock.
 //!
-//! [`WriteLanes`] is the tap the streaming clustering facade consumes: one
+//! [`WriteLanes`] is what the streaming clustering facade consumes: one
 //! mutex-guarded lane per shard accumulating `(key, timestamp)` mutation
 //! pairs. The hot path takes exactly one per-shard lane lock per batch (two
 //! workers contend only when they land batches on the same shard at the
@@ -19,27 +19,6 @@ use std::sync::Mutex;
 
 use ocasta_trace::TraceOp;
 use ocasta_ttkv::{Key, Timestamp};
-
-/// A subscriber observing every batch the ingestion engine accepts.
-///
-/// Called from ingest worker threads (hence `Sync`), once per shard batch,
-/// after placement and timestamp quantisation — the tap sees exactly what
-/// the store sees — and after the shard has applied the batch, so a store
-/// snapshot taken after an observation always contains it (the containment
-/// the repair tier's catalog/snapshot pin relies on, `DESIGN.md §5.8`).
-/// Batches arrive in per-machine stream order but interleave arbitrarily
-/// across machines, so order-sensitive consumers must do their own
-/// sequencing (the streaming clustering path reorders by timestamp behind
-/// a watermark).
-pub trait IngestTap: Sync {
-    /// Observes one batch routed to `shard`.
-    fn on_batch(&self, shard: usize, batch: &[TraceOp]);
-}
-
-/// No-op tap (useful as a default and in tests).
-impl IngestTap for () {
-    fn on_batch(&self, _shard: usize, _batch: &[TraceOp]) {}
-}
 
 /// One buffered mutation observation: which key changed, and when.
 pub type LaneEvent = (Key, Timestamp);
@@ -54,7 +33,7 @@ pub type LaneEvent = (Key, Timestamp);
 /// # Examples
 ///
 /// ```
-/// use ocasta_fleet::{IngestTap, WriteLanes};
+/// use ocasta_fleet::WriteLanes;
 /// use ocasta_trace::{AccessEvent, TraceOp};
 /// use ocasta_ttkv::Timestamp;
 ///
@@ -99,10 +78,20 @@ impl WriteLanes {
         }
         out
     }
-}
 
-impl IngestTap for WriteLanes {
-    fn on_batch(&self, shard: usize, batch: &[TraceOp]) {
+    /// Observes one batch routed to `shard`: appends its mutations to that
+    /// shard's lane (an out-of-range `shard` wraps).
+    ///
+    /// Ingest workers call this concurrently, once per shard batch, after
+    /// placement and timestamp quantisation — the lanes see exactly what
+    /// the store sees — and after the shard has applied the batch, so a
+    /// store snapshot taken after an observation always contains it (the
+    /// containment the repair tier's catalog/snapshot pin relies on,
+    /// `DESIGN.md §5.8`). Batches arrive in per-machine stream order but
+    /// interleave arbitrarily across machines, so order-sensitive consumers
+    /// must do their own sequencing (the streaming clustering path reorders
+    /// by timestamp behind a watermark).
+    pub fn on_batch(&self, shard: usize, batch: &[TraceOp]) {
         let mut buffered: Vec<LaneEvent> = Vec::new();
         for op in batch {
             if let TraceOp::Mutation(event) = op {

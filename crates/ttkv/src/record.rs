@@ -270,10 +270,9 @@ impl KeyRecord {
     /// rollback search. Returns what the prune reclaimed.
     ///
     /// This is the per-record primitive every reclamation path in the
-    /// workspace bottoms out in — [`crate::Ttkv::prune_before`] applies it
-    /// to every record, [`crate::TtkvBuilder::prune_before`] only to
-    /// records its earliest-history index proves can reclaim something,
-    /// which is what makes a fleet sweep O(reclaimed) instead of O(live).
+    /// workspace bottoms out in: [`crate::Ttkv::prune_before`] applies it
+    /// to every record, and a fleet shard sweep calls that on each sealed
+    /// segment it rewrites.
     ///
     /// The baseline lives outside [`KeyRecord::history`], so pruning never
     /// synthesises a mutation (see the type-level docs), and it keeps both
@@ -513,6 +512,11 @@ mod tests {
         r.record_mutation(Version::write(ts(8), Value::from(8)));
         r.prune_in_place(ts(4));
         assert_eq!(r.baseline(), Some(&Version::write(ts(1), Value::from(1))));
+        // A sweep landing exactly on the baseline's own timestamp neither
+        // drops the baseline nor counts it again.
+        let pruned = r.clone();
+        assert!(r.prune_in_place(ts(1)).is_noop());
+        assert_eq!(r, pruned);
         // Second sweep with nothing new to collapse: a no-op.
         r.prune_in_place(ts(6));
         assert_eq!(r.baseline(), Some(&Version::write(ts(1), Value::from(1))));

@@ -103,13 +103,6 @@ impl Ttkv {
         self.records.get(key)
     }
 
-    /// Mutable access to one key's record (the incremental-prune path:
-    /// [`crate::TtkvBuilder::prune_before`] prunes exactly the records its
-    /// index says can reclaim something, nothing else).
-    pub(crate) fn record_mut(&mut self, key: &str) -> Option<&mut KeyRecord> {
-        self.records.get_mut(key)
-    }
-
     /// The live value of `key` as of time `t`.
     pub fn value_at(&self, key: &str, t: Timestamp) -> Option<&Value> {
         self.records.get(key).and_then(|r| r.value_at(t))
@@ -327,28 +320,17 @@ impl Ttkv {
             .record_mutation(version);
     }
 
-    /// Merges another store's records into this one (used to aggregate the
-    /// same user's traces from several lab machines, §V). Equivalent to
-    /// [`Ttkv::absorb`] on a clone — same tie rule, and prune baselines are
-    /// carried across.
-    pub fn merge(&mut self, other: &Ttkv) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.deletes += other.deletes;
-        for (key, record) in &other.records {
-            self.records
-                .entry(key.clone())
-                .or_default()
-                .absorb(record.clone());
-        }
-    }
     /// Merges another store into this one **by value**, moving records
-    /// instead of cloning them.
+    /// instead of cloning them (also how the same user's traces from
+    /// several lab machines are aggregated, §V).
     ///
-    /// Behaves exactly like [`Ttkv::merge`] but is the fast path for
-    /// shard-merge: when the two stores' key sets are disjoint (as they are
-    /// for hash-sharded stores, see `ocasta-fleet`) every record moves in
-    /// O(log n) with no history traversal at all.
+    /// Every record of `other` folds into this store's record of the same
+    /// key: histories interleave by timestamp, `other`'s versions rank
+    /// after this store's on a timestamp tie (as if ingested later), and
+    /// prune baselines are carried across. When the two stores' key sets
+    /// are disjoint (as they are for hash-sharded stores, see
+    /// `ocasta-fleet`) every record moves in O(log n) with no history
+    /// traversal at all.
     pub fn absorb(&mut self, other: Ttkv) {
         self.reads += other.reads;
         self.writes += other.writes;
@@ -498,7 +480,7 @@ mod tests {
         let mut lab2 = Ttkv::new();
         lab2.write(ts(5), "u/pref", Value::from("b"));
         lab2.read("u/pref");
-        lab1.merge(&lab2);
+        lab1.absorb(lab2);
         assert_eq!(lab1.record("u/pref").unwrap().writes, 2);
         assert_eq!(lab1.record("u/pref").unwrap().reads, 1);
         // lab2's earlier write sorts before lab1's.
@@ -527,24 +509,14 @@ mod tests {
     }
 
     #[test]
-    fn absorb_agrees_with_merge() {
-        let mut a = Ttkv::new();
-        a.write(ts(10), "u/pref", Value::from("a"));
-        a.write(ts(10), "u/tied", Value::from("first"));
-        a.read("u/pref");
-        let mut b = Ttkv::new();
-        b.write(ts(5), "u/pref", Value::from("b"));
-        b.write(ts(10), "u/tied", Value::from("second"));
-        b.write(ts(3), "only/b", Value::from(1));
-        b.read("only/b");
-
-        let mut merged = a.clone();
-        merged.merge(&b);
-        let mut absorbed = a.clone();
-        absorbed.absorb(b.clone());
-        assert_eq!(merged, absorbed);
-        // Tie at ts(10) on u/tied: the absorbed store's version wins,
-        // exactly as sequential ingestion order would dictate.
+    fn absorb_ranks_timestamp_ties_by_arrival() {
+        let mut absorbed = Ttkv::new();
+        absorbed.write(ts(10), "u/tied", Value::from("first"));
+        let mut later = Ttkv::new();
+        later.write(ts(10), "u/tied", Value::from("second"));
+        absorbed.absorb(later);
+        // Tie at ts(10): the absorbed store's version wins, exactly as
+        // sequential ingestion order would dictate.
         assert_eq!(absorbed.current("u/tied"), Some(&Value::from("second")));
     }
 
@@ -666,7 +638,7 @@ mod tests {
         pruned.prune_before(ts(5));
         let mut other = Ttkv::new();
         other.write(ts(9), "u/pref", Value::from("new"));
-        other.merge(&pruned);
+        other.absorb(pruned);
         assert_eq!(other.value_at("u/pref", ts(6)), Some(&Value::from("old")));
         assert_eq!(other.current("u/pref"), Some(&Value::from("new")));
     }

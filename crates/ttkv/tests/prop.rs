@@ -295,79 +295,10 @@ proptest! {
         prop_assert_eq!(staged, direct);
     }
 
-    /// The incremental (in-place) builder prune equals the rebuild prune
-    /// equals one direct prune of the full history — values, mutation
-    /// times, counters (all via store equality) *and* per-sweep
-    /// `PruneStats` — under random histories and staged horizons with
-    /// appends (including stragglers below every horizon) between sweeps.
-    /// This is the equivalence the fleet's O(reclaimed) sweep rests on.
-    #[test]
-    fn incremental_prune_equals_rebuild_equals_direct(
-        seg1 in prop::collection::vec(op(), 0..30),
-        seg2 in prop::collection::vec(op(), 0..30),
-        seg3 in prop::collection::vec(op(), 0..30),
-        h1 in 0u64..100_000,
-        h2 in 0u64..100_000,
-    ) {
-        let (h1, h2) = (
-            Timestamp::from_millis(h1.min(h2)),
-            Timestamp::from_millis(h1.max(h2)),
-        );
-        let buffer = |builder: &mut TtkvBuilder, ops: &[Op]| {
-            for o in ops {
-                match o {
-                    Op::Write(k, t, v) => builder.write(
-                        Timestamp::from_millis(*t),
-                        Key::new(key_name(*k)),
-                        v.clone(),
-                    ),
-                    Op::Delete(k, t) => {
-                        builder.delete(Timestamp::from_millis(*t), Key::new(key_name(*k)))
-                    }
-                    Op::Read(k) => builder.add_reads(Key::new(key_name(*k)), 1),
-                }
-            }
-        };
-        // The rebuild reference: build the whole store, prune it, wrap it
-        // back up — what `ShardedTtkv::prune_before` used to do per sweep.
-        let rebuild_prune = |builder: TtkvBuilder, h: Timestamp| {
-            let mut store = builder.build();
-            let stats = store.prune_before(h);
-            (TtkvBuilder::from_store(store), stats)
-        };
-
-        let mut incremental = TtkvBuilder::from_store(apply(&seg1));
-        let mut rebuild = TtkvBuilder::from_store(apply(&seg1));
-        buffer(&mut incremental, &seg2);
-        buffer(&mut rebuild, &seg2);
-        let stats1 = incremental.prune_before(h1);
-        let (mut rebuild, rebuild_stats1) = rebuild_prune(rebuild, h1);
-        prop_assert_eq!(stats1, rebuild_stats1);
-
-        buffer(&mut incremental, &seg3);
-        buffer(&mut rebuild, &seg3);
-        let stats2 = incremental.prune_before(h2);
-        let (rebuild, rebuild_stats2) = rebuild_prune(rebuild, h2);
-        prop_assert_eq!(stats2, rebuild_stats2);
-
-        let incremental = incremental.build();
-        prop_assert_eq!(&incremental, &rebuild.build());
-
-        // ...and both equal one direct prune of the full history at the
-        // final horizon (h2 ≥ h1, so the staged property applies).
-        let mut direct = apply(&seg1);
-        let mut tail = TtkvBuilder::new();
-        buffer(&mut tail, &seg2);
-        buffer(&mut tail, &seg3);
-        tail.build_into(&mut direct);
-        direct.prune_before(h2);
-        prop_assert_eq!(incremental, direct);
-    }
-
-    /// Quantising a builder's buffered tail in place equals buffering the
-    /// already-quantised accesses: same store, same `last_time`, with the
-    /// ties quantisation creates ranked by arrival, over a pre-built base
-    /// the quantisation leaves alone.
+    /// Quantising a builder's buffered accesses in place equals buffering
+    /// the already-quantised accesses: same `last_time`, and the same store
+    /// when both are built onto a pre-built base, with the ties
+    /// quantisation creates ranked by arrival.
     #[test]
     fn apply_precision_equals_buffering_quantised_accesses(
         base in prop::collection::vec(op(), 0..20),
@@ -389,13 +320,16 @@ proptest! {
                 }
             }
         };
-        let mut raw = TtkvBuilder::from_store(apply(&base));
+        let mut raw = TtkvBuilder::new();
         buffer(&mut raw, TimePrecision::Milliseconds);
         raw.apply_precision(TimePrecision::Seconds);
-        let mut quantised = TtkvBuilder::from_store(apply(&base));
+        let mut quantised = TtkvBuilder::new();
         buffer(&mut quantised, TimePrecision::Seconds);
         prop_assert_eq!(raw.last_time(), quantised.last_time());
-        prop_assert_eq!(raw.build(), quantised.build());
+        let (mut raw_store, mut quantised_store) = (apply(&base), apply(&base));
+        raw.build_into(&mut raw_store);
+        quantised.build_into(&mut quantised_store);
+        prop_assert_eq!(raw_store, quantised_store);
     }
 
     /// The per-record last-mutation watermark is prune-invariant — the
@@ -489,7 +423,8 @@ proptest! {
         prop_assert_eq!(reloaded(&store), store);
     }
 
-    /// Merging two stores preserves totals and merged histories stay sorted.
+    /// Absorbing one store into another preserves totals and merged
+    /// histories stay sorted.
     #[test]
     fn merge_preserves_totals(
         a in prop::collection::vec(op(), 0..40),
@@ -498,8 +433,8 @@ proptest! {
         let sa = apply(&a);
         let sb = apply(&b);
         let (ta, tb) = (sa.stats(), sb.stats());
-        let mut merged = sa.clone();
-        merged.merge(&sb);
+        let mut merged = sa;
+        merged.absorb(sb);
         let tm = merged.stats();
         prop_assert_eq!(tm.reads, ta.reads + tb.reads);
         prop_assert_eq!(tm.writes, ta.writes + tb.writes);

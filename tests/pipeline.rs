@@ -96,10 +96,10 @@ fn multi_machine_merge_aggregates_per_user() {
     let model = model_by_name("eog").unwrap();
     let store_a = model.generate_trace(10, 1).replay(TimePrecision::Seconds);
     let store_b = model.generate_trace(10, 2).replay(TimePrecision::Seconds);
-    let mut merged = store_a.clone();
-    merged.merge(&store_b);
     let sa = store_a.stats();
     let sb = store_b.stats();
+    let mut merged = store_a;
+    merged.absorb(store_b);
     let sm = merged.stats();
     assert_eq!(sm.writes, sa.writes + sb.writes);
     assert_eq!(sm.reads, sa.reads + sb.reads);

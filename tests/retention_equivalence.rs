@@ -4,7 +4,7 @@
 //! Three layers are covered:
 //!
 //! * **store + WAL**: chunked ingestion into a retained `ShardedTtkv`
-//!   (incremental in-place sweeps, layered WAL compaction) must equal the
+//!   (copy-on-write segment sweeps, layered WAL compaction) must equal the
 //!   unbounded side pruned *once* at the current horizon — exactly, not
 //!   just on sampled queries — and the layered WAL must replay to the
 //!   same store at every checkpoint. The retention feed (10 machines x 60
@@ -368,8 +368,14 @@ fn pinned_sessions_repair_identically_under_retention() {
     assert!(retention.sweeps > 0, "the sweeper must have run");
     let horizon = retention.horizon.expect("swept");
     assert!(
+        !with.pinned_mid_ingest,
+        "min_catalog_events = u64::MAX pins only after ingestion, and every sweep, ended"
+    );
+    assert!(
         horizon <= with.session_pin,
-        "sweeps may never pass the session pin"
+        "the pin was taken after the last sweep, and retention (5 d) keeps more than the \
+         sessions' 3-day bound reaches back: {horizon} vs {}",
+        with.session_pin,
     );
     assert!(
         with.snapshot_stats.approx_bytes < without.snapshot_stats.approx_bytes,

@@ -67,11 +67,7 @@ pub use service::{
     run_repair_service, RepairServiceConfig, RepairServiceRun, ServiceObservers, UserRepair,
 };
 pub use stream::{OcastaStream, StreamClustering, StreamHorizon};
-pub use vopr::{
-    check_parallel_equals_sequential, check_replay_matches_store, check_retention_equivalence,
-    check_stream_equals_batch, run_vopr, vopr_scenario_names, ReplayRelation, VoprCheck,
-    VoprOutcome,
-};
+pub use vopr::{run_vopr, vopr_scenario_names, VoprCheck, VoprOutcome};
 
 // Re-export the pieces users need without adding every sub-crate to their
 // dependency list.

@@ -433,7 +433,7 @@ mod tests {
             "app/k",
             Value::from(1),
         ));
-        lanes.on_batch(0, std::slice::from_ref(&op));
+        lanes.on_batch(0, ocasta_fleet::lane_events(&[op]));
         let mut stream = OcastaStream::new(&Ocasta::default());
         assert_eq!(stream.drain_lanes(&lanes), 1);
         assert_eq!(stream.key_count(), 1);

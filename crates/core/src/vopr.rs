@@ -18,14 +18,17 @@
 //!    reports the sequential search's outcome field for field
 //!    (`DESIGN.md §5.8`).
 //!
-//! Scenarios fall in two classes. *Feed-driven* scenarios perturb a
-//! deterministic single-threaded delivery of the fleet's op stream
-//! (stragglers, clock skew, duplicates, reordering, churn, pinned
-//! sweeps); *engine* scenarios run the real concurrent engine with a
-//! [`FaultPlan`] injected (a killed ingest worker, a silently dead WAL
-//! appender, a sweeper stopped mid-flight) or crash the WAL's compaction
-//! by hand and reopen. Each scenario may append extra scenario-specific
-//! checks after the standing four.
+//! Every scenario is one row of the `SCENARIOS` table, which holds
+//! everything the scenario varies. A *feed* row perturbs a deterministic
+//! single-threaded delivery of the fleet's op stream: an op edit (clock
+//! skew, key churn), the delivery order, retention sweeps, repair pins
+//! held against them, the seal threshold and a crashed compaction. An
+//! *engine* row runs the real concurrent engine with a [`FaultPlan`]
+//! injected (a killed ingest worker, a silently dead WAL appender, a
+//! sweeper stopped mid-flight), optionally churning epoch pins meanwhile.
+//! One runner per class executes every row, and each check a row adds
+//! after the standing four follows from the row feature that needs it —
+//! never from the scenario's name.
 //!
 //! **The determinism rule:** same scenario + same seed ⇒ byte-identical
 //! verdict report. Reports therefore carry only deterministic facts —
@@ -39,19 +42,22 @@
 //! (see `failing_seeds/README.md`).
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ocasta_fleet::{
-    ingest_live, ingest_sequential, EpochSnapshot, FaultPlan, FleetConfig, IngestError,
-    IngestOptions, KeyPlacement, MachineSpec, RetentionPolicy, ShardedTtkv, Wal, WriteLanes,
+    ingest_live, ingest_sequential, lane_events, EpochSnapshot, FaultPlan, FleetConfig,
+    IngestError, IngestOptions, KeyPlacement, MachineSpec, RetentionPolicy, ShardedTtkv, Wal,
+    WriteLanes, DEFAULT_SEAL_THRESHOLD,
 };
 use ocasta_repair::{
     parallel_search, search, FixOracle, Screenshot, SearchConfig, SearchOutcome, SearchStrategy,
     Trial,
 };
 use ocasta_trace::{AccessEvent, TraceOp};
-use ocasta_ttkv::{HorizonGuard, HorizonPin, TimeDelta, TimePrecision, Timestamp, Ttkv, Value};
+use ocasta_ttkv::{
+    HorizonGuard, HorizonPin, TimeDelta, TimePrecision, Timestamp, Ttkv, TtkvStats, Value,
+};
 
 use crate::fleet::{fleet_machines, FleetRunConfig};
 use crate::pipeline::{Clustering, Ocasta};
@@ -63,26 +69,243 @@ const PRECISION: TimePrecision = TimePrecision::Seconds;
 /// Ops per delivered feed chunk (the feed-driven unit of interleaving).
 const CHUNK: usize = 64;
 
+/// The fleet shape of every feed scenario: machines, days.
+const FEED_FLEET: (usize, u64) = (3, 4);
+
+/// One scenario: everything it varies, in one row.
+enum Scenario {
+    /// Deterministic single-threaded delivery of the fleet's op stream.
+    Feed(Feed),
+    /// The real concurrent engine with a fault plan injected.
+    Engine(Engine),
+}
+
+impl Scenario {
+    fn name(&self) -> &'static str {
+        match self {
+            Scenario::Feed(feed) => feed.name,
+            Scenario::Engine(engine) => engine.name,
+        }
+    }
+}
+
+/// What a feed scenario varies.
+struct Feed {
+    name: &'static str,
+    /// An edit to the per-machine op streams before delivery.
+    edit: Option<Edit>,
+    /// The order in which the chunked streams are delivered.
+    delivery: Delivery,
+    /// Sweep every 8th chunk to this much history behind the frontier,
+    /// then sweep, collect dead shells and rebase once at the end.
+    retain: Option<TimeDelta>,
+    /// Repair pins held against those sweeps.
+    pins: Option<Pins>,
+    /// The tail size at which the store's shards seal a segment.
+    seal_threshold: usize,
+    /// After the run, plant what a compaction that died before its
+    /// manifest rename leaves behind, and reopen the WAL.
+    rebase_crash: bool,
+}
+
+/// An edit to the per-machine op streams.
+enum Edit {
+    /// `machine`'s clock runs `skew` fast: every mutation it reports lands
+    /// ahead of the rest of the fleet.
+    ClockSkew { machine: usize, skew: TimeDelta },
+    /// `machine` also writes, reads and deletes `keys` short-lived keys
+    /// within the first day — all reclaimed by the final horizon, leaving
+    /// counter-only shells unless GC runs.
+    KeyChurn { machine: usize, keys: u64 },
+}
+
+/// How the chunked per-machine streams reach the consumers.
+enum Delivery {
+    /// Round-robin, one chunk per machine in turn — the deterministic
+    /// stand-in for concurrent machine delivery.
+    RoundRobin,
+    /// Machine 0's whole stream arrives only after everyone else finished
+    /// — a straggler re-sending its backlog at the end.
+    StragglerLast,
+    /// Round-robin, then shuffled by the seed.
+    Shuffled,
+    /// Round-robin, with every ninth chunk delivered twice (an
+    /// at-least-once transport retrying): all consumers see the duplicate.
+    Duplicated,
+}
+
+/// Repair pins a feed holds against its retention sweeps.
+enum Pins {
+    /// One session pins the sweep target a third of the way through the
+    /// feed and releases it two thirds through, with a sweep at once.
+    SweepVsPin,
+    /// Short sessions open every 5th chunk and close ~7 chunks later, each
+    /// holding a retention pin and an epoch pin with its pin-time
+    /// materialization as the oracle; a few stay open across the final
+    /// sweep, shell GC and rebase.
+    Churn,
+}
+
+/// What an engine scenario varies.
+struct Engine {
+    name: &'static str,
+    /// Machines, days.
+    fleet: (usize, u64),
+    config: FleetConfig,
+    faults: FaultPlan,
+    /// Epoch pins the calling thread takes while the engine ingests.
+    pin_churn: usize,
+}
+
+/// The baseline row, which every other feed row edits.
+const BASELINE: Feed = Feed {
+    name: "baseline",
+    edit: None,
+    delivery: Delivery::RoundRobin,
+    retain: None,
+    pins: None,
+    seal_threshold: DEFAULT_SEAL_THRESHOLD,
+    rebase_crash: false,
+};
+
+/// One day of retained history.
+const ONE_DAY: Option<TimeDelta> = Some(TimeDelta::from_days(1));
+
+/// The engine configuration every engine scenario starts from.
+const ENGINE: FleetConfig = FleetConfig {
+    shards: 4,
+    ingest_threads: 2,
+    batch_size: 64,
+    precision: PRECISION,
+    // Per-machine keyspace, so a killed machine's absence is visible in
+    // the store itself, and two workers never race same-timestamp writes
+    // to one key (an order the sequential reference cannot predict,
+    // failing_seeds/006).
+    placement: KeyPlacement::PerMachine,
+    retention: None,
+    seal_threshold: 256,
+};
+
+/// A fault plan that injects nothing.
+const NO_FAULTS: FaultPlan = FaultPlan {
+    kill_worker_at_machine: None,
+    wal_crash_after_frames: None,
+    sweeper_stop_after: None,
+};
+
 /// The scenario catalog, in canonical order.
-const SCENARIOS: &[&str] = &[
-    "baseline",
-    "straggler-machine",
-    "clock-skew",
-    "duplicate-feed",
-    "reorder-feed",
-    "dead-shell-churn",
-    "sweep-vs-pin",
-    "pin-churn",
-    "kill-ingest-worker",
-    "wal-appender-crash",
-    "crash-mid-sweep",
-    "crash-mid-rebase",
-    "killed-worker-amid-pin-churn",
+const SCENARIOS: &[Scenario] = &[
+    Scenario::Feed(BASELINE),
+    Scenario::Feed(Feed {
+        name: "straggler-machine",
+        delivery: Delivery::StragglerLast,
+        ..BASELINE
+    }),
+    Scenario::Feed(Feed {
+        name: "clock-skew",
+        edit: Some(Edit::ClockSkew {
+            machine: 1,
+            skew: TimeDelta::from_secs(6 * 3600),
+        }),
+        ..BASELINE
+    }),
+    Scenario::Feed(Feed {
+        name: "duplicate-feed",
+        delivery: Delivery::Duplicated,
+        ..BASELINE
+    }),
+    Scenario::Feed(Feed {
+        name: "reorder-feed",
+        delivery: Delivery::Shuffled,
+        ..BASELINE
+    }),
+    Scenario::Feed(Feed {
+        name: "dead-shell-churn",
+        edit: Some(Edit::KeyChurn {
+            machine: 0,
+            keys: 48,
+        }),
+        retain: ONE_DAY,
+        ..BASELINE
+    }),
+    Scenario::Feed(Feed {
+        name: "sweep-vs-pin",
+        retain: ONE_DAY,
+        pins: Some(Pins::SweepVsPin),
+        ..BASELINE
+    }),
+    Scenario::Feed(Feed {
+        name: "pin-churn",
+        retain: ONE_DAY,
+        pins: Some(Pins::Churn),
+        // Seal aggressively so the sessions' epoch pins reference real
+        // sealed segments, not just tail clones.
+        seal_threshold: 128,
+        ..BASELINE
+    }),
+    Scenario::Engine(Engine {
+        name: "kill-ingest-worker",
+        fleet: (4, 3),
+        config: ENGINE,
+        faults: FaultPlan {
+            kill_worker_at_machine: Some(1),
+            ..NO_FAULTS
+        },
+        pin_churn: 0,
+    }),
+    Scenario::Engine(Engine {
+        name: "wal-appender-crash",
+        fleet: (2, 3),
+        config: FleetConfig {
+            ingest_threads: 1,
+            batch_size: 32,
+            placement: KeyPlacement::Merged,
+            ..ENGINE
+        },
+        faults: FaultPlan {
+            wal_crash_after_frames: Some(5),
+            ..NO_FAULTS
+        },
+        pin_churn: 0,
+    }),
+    Scenario::Engine(Engine {
+        name: "crash-mid-sweep",
+        fleet: (3, 6),
+        config: FleetConfig {
+            retention: Some(RetentionPolicy::keep_days(2)),
+            ..ENGINE
+        },
+        faults: FaultPlan {
+            sweeper_stop_after: Some(0),
+            ..NO_FAULTS
+        },
+        pin_churn: 0,
+    }),
+    Scenario::Feed(Feed {
+        name: "crash-mid-rebase",
+        rebase_crash: true,
+        ..BASELINE
+    }),
+    Scenario::Engine(Engine {
+        name: "killed-worker-amid-pin-churn",
+        fleet: (4, 3),
+        config: FleetConfig {
+            // Small enough that pins land mid-seal, not just between
+            // quiescent segments.
+            seal_threshold: 192,
+            ..ENGINE
+        },
+        faults: FaultPlan {
+            kill_worker_at_machine: Some(1),
+            ..NO_FAULTS
+        },
+        pin_churn: 32,
+    }),
 ];
 
 /// Every scenario name `vopr` accepts, in canonical order.
-pub fn vopr_scenario_names() -> &'static [&'static str] {
-    SCENARIOS
+pub fn vopr_scenario_names() -> Vec<&'static str> {
+    SCENARIOS.iter().map(Scenario::name).collect()
 }
 
 /// One invariant check's verdict inside a VOPR run.
@@ -157,7 +380,7 @@ impl VoprOutcome {
 
 /// How a WAL replay must relate to the live store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayRelation {
+enum ReplayRelation {
     /// Replay reproduces the store exactly (every healthy-lane scenario).
     Equal,
     /// Replay is a strict prefix: strictly fewer mutations, and no key
@@ -167,11 +390,7 @@ pub enum ReplayRelation {
 }
 
 /// Standing invariant 1: replaying the WAL reproduces the live store.
-pub fn check_replay_matches_store(
-    replayed: &Ttkv,
-    live: &Ttkv,
-    relation: ReplayRelation,
-) -> VoprCheck {
+fn check_replay_matches_store(replayed: &Ttkv, live: &Ttkv, relation: ReplayRelation) -> VoprCheck {
     let (r, l) = (replayed.stats(), live.stats());
     let passed = match relation {
         ReplayRelation::Equal => replayed == live,
@@ -204,7 +423,7 @@ pub fn check_replay_matches_store(
 
 /// Standing invariant 2: the streaming clustering equals the batch
 /// clustering computed over the same mutations.
-pub fn check_stream_equals_batch(live: &Clustering, batch: &Clustering) -> VoprCheck {
+fn check_stream_equals_batch(live: &Clustering, batch: &Clustering) -> VoprCheck {
     VoprCheck {
         name: "stream-equals-batch",
         passed: live == batch,
@@ -219,7 +438,7 @@ pub fn check_stream_equals_batch(live: &Clustering, batch: &Clustering) -> VoprC
 /// Standing invariant 3: the retained store equals the unbounded
 /// reference pruned **once** at the final horizon — shell-GC'd too when
 /// the run GC'd — as exact [`Ttkv`] equality.
-pub fn check_retention_equivalence(
+fn check_retention_equivalence(
     retained: &Ttkv,
     unbounded: &Ttkv,
     horizon: Timestamp,
@@ -252,7 +471,7 @@ pub fn check_retention_equivalence(
 
 /// Standing invariant 4: the parallel rollback search's outcome equals
 /// the sequential search's, field for field.
-pub fn check_parallel_equals_sequential(
+fn check_parallel_equals_sequential(
     sequential: &SearchOutcome,
     parallel: &SearchOutcome,
 ) -> VoprCheck {
@@ -273,7 +492,7 @@ pub fn check_parallel_equals_sequential(
 /// Pin-churn invariant: an epoch-pinned snapshot equals the legacy
 /// clone-under-lock snapshot taken at the same quiescent moment, as exact
 /// [`Ttkv`] equality (`DESIGN.md §5.13`).
-pub fn check_epoch_equals_clone(epoch: &Ttkv, clone: &Ttkv) -> VoprCheck {
+fn check_epoch_equals_clone(epoch: &Ttkv, clone: &Ttkv) -> VoprCheck {
     VoprCheck {
         name: "epoch-matches-clone",
         passed: epoch == clone,
@@ -292,7 +511,7 @@ pub fn check_epoch_equals_clone(epoch: &Ttkv, clone: &Ttkv) -> VoprCheck {
 /// their pin and compared it against the materialization taken at pin
 /// time; `diverged` is how many differed. The check demands at least one
 /// session actually churned (a scenario that never pins proves nothing).
-pub fn check_pin_churn_sessions(checked: u64, diverged: u64) -> VoprCheck {
+fn check_pin_churn_sessions(checked: u64, diverged: u64) -> VoprCheck {
     VoprCheck {
         name: "pins-survive-sweeps",
         passed: checked > 0 && diverged == 0,
@@ -305,7 +524,7 @@ pub fn check_pin_churn_sessions(checked: u64, diverged: u64) -> VoprCheck {
 /// earlier one. The detail reports only the pin count and inversion
 /// count, never the raw totals, so engine scenarios (where totals depend
 /// on thread timing) keep byte-deterministic reports.
-pub fn check_pin_monotonicity(mutation_totals: &[u64]) -> VoprCheck {
+fn check_pin_monotonicity(mutation_totals: &[u64]) -> VoprCheck {
     let inversions = mutation_totals.windows(2).filter(|w| w[1] < w[0]).count();
     VoprCheck {
         name: "pins-monotone",
@@ -328,27 +547,32 @@ pub fn check_pin_monotonicity(mutation_totals: &[u64]) -> VoprCheck {
 /// I/O) that prevent the scenario from running at all. Invariant
 /// *violations* are not errors — they come back as failed checks.
 pub fn run_vopr(scenario: &str, seed: u64) -> Result<VoprOutcome, String> {
-    let scenario = SCENARIOS
+    let row = SCENARIOS
         .iter()
-        .copied()
-        .find(|s| *s == scenario)
+        .find(|row| row.name() == scenario)
         .ok_or_else(|| {
             format!(
                 "unknown scenario `{scenario}` (try: {})",
-                SCENARIOS.join(", ")
+                vopr_scenario_names().join(", ")
             )
         })?;
-    let dir = scratch_dir(scenario, seed);
+    let dir = scratch_dir(row.name(), seed);
     let _ = std::fs::remove_dir_all(&dir);
-    let result = match scenario {
-        "kill-ingest-worker"
-        | "wal-appender-crash"
-        | "crash-mid-sweep"
-        | "killed-worker-amid-pin-churn" => run_engine_scenario(scenario, seed, &dir),
-        _ => run_feed_scenario(scenario, seed, &dir),
+    let ((machines, days), result) = match row {
+        Scenario::Feed(feed) => (FEED_FLEET, run_feed(feed, seed, &dir)),
+        Scenario::Engine(engine) => (engine.fleet, run_engine(engine, seed, &dir)),
     };
     let _ = std::fs::remove_dir_all(&dir);
-    result
+    let (stats, checks) = result?;
+    Ok(VoprOutcome {
+        scenario: row.name(),
+        seed,
+        machines,
+        days,
+        mutations: stats.modifications(),
+        reads: stats.reads,
+        checks,
+    })
 }
 
 /// A unique scratch WAL directory per run. The counter keeps concurrent
@@ -361,6 +585,17 @@ fn scratch_dir(scenario: &str, seed: u64) -> PathBuf {
         "ocasta-vopr-{scenario}-{seed}-{}-{run}",
         std::process::id()
     ))
+}
+
+/// The gedit + evolution fleet of one shape (machines, days).
+fn fleet((machines, days): (usize, u64), seed: u64) -> Result<Vec<MachineSpec>, String> {
+    fleet_machines(&FleetRunConfig {
+        machines,
+        days,
+        seed,
+        apps: vec!["gedit".into(), "evolution".into()],
+        ..FleetRunConfig::default()
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -396,7 +631,7 @@ fn shuffle<T>(items: &mut [T], state: &mut u64) {
 }
 
 // ---------------------------------------------------------------------
-// Feed-driven scenarios.
+// Feed scenarios.
 // ---------------------------------------------------------------------
 
 /// Quantises a trace op the way the ingest engine would.
@@ -410,200 +645,117 @@ fn quantize(op: TraceOp) -> TraceOp {
     }
 }
 
-/// The mutation event a chunked op contributes to the analytics stream
-/// (reads carry no co-modification signal), mirroring the fleet tap.
-fn lane_event(op: &TraceOp) -> Option<(ocasta_ttkv::Key, Timestamp)> {
-    match op {
-        TraceOp::Mutation(event) => Some((event.key.clone(), event.timestamp)),
-        TraceOp::Reads(..) => None,
+/// Chunks each machine's ops and interleaves the chunks round-robin in
+/// machine order.
+fn interleave(per_machine: &[Vec<TraceOp>]) -> Vec<Vec<TraceOp>> {
+    let mut queues: Vec<_> = per_machine
+        .iter()
+        .map(|ops| ops.chunks(CHUNK).map(<[TraceOp]>::to_vec))
+        .collect();
+    let mut feed = Vec::new();
+    loop {
+        let round: Vec<Vec<TraceOp>> = queues.iter_mut().filter_map(Iterator::next).collect();
+        if round.is_empty() {
+            return feed;
+        }
+        feed.extend(round);
     }
 }
 
-/// Builds the per-machine quantised op streams for a feed scenario,
-/// including scenario-specific op edits (clock skew, churn injection).
-fn feed_machine_ops(
-    scenario: &str,
-    seed: u64,
-    machines: usize,
-    days: u64,
-) -> Result<Vec<Vec<TraceOp>>, String> {
-    let config = FleetRunConfig {
-        machines,
-        days,
-        seed,
-        apps: vec!["gedit".into(), "evolution".into()],
-        ..FleetRunConfig::default()
-    };
-    let specs = fleet_machines(&config)?;
-    let mut per_machine: Vec<Vec<TraceOp>> = specs
+/// The chunk sequence a feed row delivers: each machine's quantised op
+/// stream, edited, chunked and delivered in the row's order.
+fn feed_chunks(feed: &Feed, seed: u64) -> Result<Vec<Vec<TraceOp>>, String> {
+    let mut per_machine: Vec<Vec<TraceOp>> = fleet(FEED_FLEET, seed)?
         .iter()
         .map(|machine| machine.stream().map(quantize).collect())
         .collect();
-    match scenario {
-        "clock-skew" => {
-            // Machine 1's clock runs six hours fast: every mutation it
-            // reports lands ahead of the rest of the fleet.
-            let skew = TimeDelta::from_secs(6 * 3600);
-            for op in &mut per_machine[1] {
+    match feed.edit {
+        None => {}
+        Some(Edit::ClockSkew { machine, skew }) => {
+            for op in &mut per_machine[machine] {
                 if let TraceOp::Mutation(event) = op {
                     event.timestamp += skew;
                 }
             }
         }
-        "dead-shell-churn" => {
-            // Machine 0 additionally churns short-lived keys: written,
-            // read, deleted within the first day — all reclaimed by the
-            // final horizon, leaving counter-only shells unless GC runs.
-            for i in 0..48u64 {
+        Some(Edit::KeyChurn { machine, keys }) => {
+            for i in 0..keys {
                 let born = Timestamp::from_secs(3_600 + i * 120);
                 let key = format!("churn/k{i:02}");
-                per_machine[0].push(TraceOp::Mutation(AccessEvent::write(
-                    born,
-                    key.clone(),
-                    Value::from(i as i64),
-                )));
-                per_machine[0].push(TraceOp::Reads(key.clone().into(), 3));
-                per_machine[0].push(TraceOp::Mutation(AccessEvent::delete(
-                    born + TimeDelta::from_mins(30),
-                    key,
-                )));
+                per_machine[machine].extend([
+                    TraceOp::Mutation(AccessEvent::write(born, key.clone(), Value::from(i as i64))),
+                    TraceOp::Reads(key.clone().into(), 3),
+                    TraceOp::Mutation(AccessEvent::delete(born + TimeDelta::from_mins(30), key)),
+                ]);
             }
         }
-        _ => {}
     }
-    Ok(per_machine)
-}
-
-/// Chunks each machine's ops and interleaves the chunks round-robin —
-/// the deterministic stand-in for concurrent machine delivery.
-fn interleave(per_machine: Vec<Vec<TraceOp>>, order: &[usize]) -> Vec<Vec<TraceOp>> {
-    let mut queues: Vec<std::collections::VecDeque<Vec<TraceOp>>> = per_machine
-        .into_iter()
-        .map(|ops| {
-            let mut chunks = std::collections::VecDeque::new();
-            let mut ops = ops.into_iter().peekable();
-            while ops.peek().is_some() {
-                chunks.push_back(ops.by_ref().take(CHUNK).collect());
-            }
+    Ok(match feed.delivery {
+        Delivery::RoundRobin => interleave(&per_machine),
+        Delivery::StragglerLast => {
+            let mut chunks = interleave(&per_machine[1..]);
+            chunks.extend(interleave(&per_machine[..1]));
             chunks
-        })
-        .collect();
-    let mut feed = Vec::new();
-    let mut drained = false;
-    while !drained {
-        drained = true;
-        for &machine in order {
-            if let Some(chunk) = queues[machine].pop_front() {
-                feed.push(chunk);
-                drained = false;
-            }
         }
-    }
-    feed
+        Delivery::Shuffled => {
+            let mut chunks = interleave(&per_machine);
+            shuffle(&mut chunks, &mut mix_seed(seed));
+            chunks
+        }
+        Delivery::Duplicated => interleave(&per_machine)
+            .into_iter()
+            .enumerate()
+            .flat_map(|(i, chunk)| std::iter::repeat_n(chunk, if i % 9 == 4 { 2 } else { 1 }))
+            .collect(),
+    })
 }
 
-/// Builds the delivered chunk sequence for a feed scenario.
-fn feed_chunks(
-    scenario: &str,
-    seed: u64,
-    machines: usize,
-    days: u64,
-) -> Result<Vec<Vec<TraceOp>>, String> {
-    let per_machine = feed_machine_ops(scenario, seed, machines, days)?;
-    let mut chunks = match scenario {
-        // Machine 0's whole stream arrives only after everyone else
-        // finished — a straggler re-sending its backlog at the end.
-        "straggler-machine" => {
-            let mut rest: Vec<Vec<TraceOp>> = per_machine.clone();
-            let straggler = rest.remove(0);
-            let mut feed = interleave(rest, &[0, 1]);
-            feed.extend(interleave(vec![straggler], &[0]));
-            feed
-        }
-        _ => {
-            let order: Vec<usize> = (0..per_machine.len()).collect();
-            interleave(per_machine, &order)
-        }
-    };
-    match scenario {
-        "reorder-feed" => {
-            let mut state = mix_seed(seed);
-            shuffle(&mut chunks, &mut state);
-        }
-        "duplicate-feed" => {
-            // Every ninth chunk is delivered twice (an at-least-once
-            // transport retrying): all consumers see the duplicate.
-            let mut duplicated = Vec::with_capacity(chunks.len() + chunks.len() / 9 + 1);
-            for (i, chunk) in chunks.into_iter().enumerate() {
-                let again = i % 9 == 4;
-                duplicated.push(chunk.clone());
-                if again {
-                    duplicated.push(chunk);
-                }
-            }
-            chunks = duplicated;
-        }
-        _ => {}
-    }
-    Ok(chunks)
-}
+/// One pin-churn session: when it opened, its retention pin, its epoch
+/// pin, and that pin's materialization at pin time.
+type Session<'g> = (usize, HorizonPin<'g>, EpochSnapshot, Ttkv);
 
-/// Runs one feed-driven scenario: single-threaded deterministic delivery
-/// of the chunk sequence into WAL + sharded store + streaming clustering,
-/// with scenario-driven retention sweeps, then the four standing checks
-/// plus the scenario's extras.
-fn run_feed_scenario(
-    scenario: &'static str,
-    seed: u64,
-    dir: &std::path::Path,
-) -> Result<VoprOutcome, String> {
-    let (machines, days) = (3usize, 4u64);
-    let chunks = feed_chunks(scenario, seed, machines, days)?;
-    let retain = matches!(scenario, "dead-shell-churn" | "sweep-vs-pin" | "pin-churn")
-        .then(|| TimeDelta::from_days(1));
-
+/// Runs one feed row: single-threaded deterministic delivery of its chunk
+/// sequence into WAL + sharded store + streaming clustering, with the
+/// row's sweeps, pins and surgery, then the four standing checks plus the
+/// checks its features call for.
+fn run_feed(feed: &Feed, seed: u64, dir: &Path) -> Result<(TtkvStats, Vec<VoprCheck>), String> {
+    let chunks = feed_chunks(feed, seed)?;
     let engine = Ocasta::default();
     let mut stream = OcastaStream::new(&engine);
-    // pin-churn seals aggressively so the sessions' epoch pins reference
-    // real sealed segments, not just tail clones.
-    let sharded = if scenario == "pin-churn" {
-        ShardedTtkv::with_seal_threshold(4, 128)
-    } else {
-        ShardedTtkv::new(4)
-    };
+    let sharded = ShardedTtkv::with_seal_threshold(4, feed.seal_threshold);
     let mut reference = Ttkv::new();
     let guard = HorizonGuard::new();
     let mut wal = Wal::open(dir).map_err(|e| format!("open scratch wal: {e}"))?;
+    // The sweep target: `retain` behind the latest applied mutation.
+    let target = |retain: TimeDelta| {
+        sharded
+            .last_mutation_time()
+            .unwrap_or(Timestamp::EPOCH)
+            .saturating_sub(retain)
+    };
+    // One mid-run sweep, clamped by the live pins: (target, granted).
+    let sweep = |wal: &mut Wal, retain: TimeDelta| -> Result<(Timestamp, Timestamp), String> {
+        let wanted = target(retain);
+        let granted = guard.clamp(wanted);
+        if granted > Timestamp::EPOCH {
+            sharded.prune_before(granted);
+            wal.compact_pruned(PRECISION, granted)
+                .map_err(|e| format!("wal compact: {e}"))?;
+        }
+        Ok((wanted, granted))
+    };
 
-    // sweep-vs-pin bookkeeping: where the pin registered, how many sweeps
-    // it clamped, and the horizon of the first sweep after its release.
+    // Pins::SweepVsPin: the pin, where it registered, how many sweeps it
+    // clamped, and the horizon of the sweep right after its release.
     let mut pin: Option<HorizonPin<'_>> = None;
     let mut pin_at = Timestamp::EPOCH;
     let mut clamped_while_pinned = 0u64;
-    let mut post_release_horizon: Option<Timestamp> = None;
-
-    // pin-churn bookkeeping: short-lived sessions, each holding a
-    // retention pin (so sweeps clamp around it, composing with the
-    // HorizonGuard registry) plus an epoch pin with its pin-time
-    // materialization as the oracle. Sessions open every 5th chunk and
-    // close ~7 chunks later; a few stay open across the final
-    // sweep + shell-GC + rebase to prove a pinned generation outlives
-    // even the rebase.
-    let mut churn_sessions: Vec<(usize, HorizonPin<'_>, EpochSnapshot, Ttkv)> = Vec::new();
-    let mut sessions_checked = 0u64;
-    let mut sessions_diverged = 0u64;
-    fn close_session(
-        session: (usize, HorizonPin<'_>, EpochSnapshot, Ttkv),
-        checked: &mut u64,
-        diverged: &mut u64,
-    ) {
-        let (_, _retention_pin, epoch, oracle) = session;
-        *checked += 1;
-        if epoch.materialize() != oracle {
-            *diverged += 1;
-        }
-        // `_retention_pin` drops here: the sweeper may pass this point now.
-    }
+    let mut released_to = Timestamp::EPOCH;
+    // Pins::Churn: the open sessions, and whether each closed session's
+    // epoch pin still materialized its pin-time oracle.
+    let mut sessions: Vec<Session<'_>> = Vec::new();
+    let mut survived: Vec<bool> = Vec::new();
+    let close = |(_, _retention_pin, epoch, oracle): Session<'_>| epoch.materialize() == oracle;
 
     let total = chunks.len();
     for (i, chunk) in chunks.iter().enumerate() {
@@ -613,107 +765,75 @@ fn run_feed_scenario(
             op.clone()
                 .apply(&mut reference, TimePrecision::Milliseconds);
         }
-        stream.absorb_batch(chunk.iter().filter_map(lane_event));
+        stream.absorb_batch(lane_events(chunk));
         sharded.append_routed(chunk.clone());
 
-        if scenario == "pin-churn" {
-            if let Some(retain) = retain {
-                // Open a short session every 5th chunk: retention pin at
-                // frontier − retain, epoch pin, pin-time oracle.
+        let Some(retain) = feed.retain else {
+            continue;
+        };
+        match feed.pins {
+            None => {}
+            Some(Pins::Churn) => {
                 if i % 5 == 2 {
-                    let frontier = sharded.last_mutation_time().unwrap_or(Timestamp::EPOCH);
-                    let retention_pin = guard.pin(frontier.saturating_sub(retain));
+                    let retention_pin = guard.pin(target(retain));
                     let epoch = sharded.pin_epoch();
                     let oracle = epoch.materialize();
-                    churn_sessions.push((i, retention_pin, epoch, oracle));
+                    sessions.push((i, retention_pin, epoch, oracle));
                 }
-                // Close (and verify) sessions open for ~7 chunks — except
-                // a straggler cohort held across the run's end.
-                while churn_sessions
+                while sessions
                     .first()
-                    .is_some_and(|(opened, ..)| i >= opened + 7 && churn_sessions.len() > 2)
+                    .is_some_and(|(opened, ..)| i >= opened + 7 && sessions.len() > 2)
                 {
-                    close_session(
-                        churn_sessions.remove(0),
-                        &mut sessions_checked,
-                        &mut sessions_diverged,
-                    );
+                    survived.push(close(sessions.remove(0)));
+                }
+            }
+            Some(Pins::SweepVsPin) => {
+                if pin.is_none() && i + 1 == total / 3 {
+                    pin_at = target(retain);
+                    pin = Some(guard.pin(pin_at));
+                }
+                if i + 1 == (2 * total) / 3 {
+                    // The session's epoch pin now holds its history, as in
+                    // the repair service: it releases its retention pin
+                    // (dropped at the end of this statement), and the very
+                    // next sweep passes the old pin.
+                    let released = pin.take().is_some();
+                    if released {
+                        released_to = sweep(&mut wal, retain)?.1;
+                    }
+                    continue;
                 }
             }
         }
-        if scenario == "sweep-vs-pin" && pin.is_none() && i + 1 == total / 3 {
-            // A repair session registers needing history from the current
-            // sweep target onwards: as the frontier moves on, every later
-            // sweep wants to pass this pin and must be clamped.
-            if let Some(retain) = retain {
-                let frontier = sharded.last_mutation_time().unwrap_or(Timestamp::EPOCH);
-                pin_at = frontier.saturating_sub(retain);
-                pin = Some(guard.pin(pin_at));
-            }
-        }
-        let release_now = scenario == "sweep-vs-pin" && i + 1 == (2 * total) / 3;
-        if release_now {
-            // The session's epoch pin now holds its history, as in the
-            // repair service: it releases its retention pin, and the very
-            // next sweep passes the old pin. The pin drops at the end of
-            // this statement, before the sweep asks for its horizon.
-            let released = pin.take().is_some();
-            if let (true, Some(retain)) = (released, retain) {
-                let frontier = sharded.last_mutation_time().unwrap_or(Timestamp::EPOCH);
-                let granted = guard.clamp(frontier.saturating_sub(retain));
-                if granted > Timestamp::EPOCH {
-                    sharded.prune_before(granted);
-                    wal.compact_pruned(PRECISION, granted)
-                        .map_err(|e| format!("wal compact: {e}"))?;
-                }
-                post_release_horizon = Some(granted);
-            }
-        } else if let Some(retain) = retain {
-            if i % 8 == 7 {
-                let frontier = sharded.last_mutation_time().unwrap_or(Timestamp::EPOCH);
-                let target = frontier.saturating_sub(retain);
-                let granted = guard.clamp(target);
-                if pin.is_some() && granted < target {
-                    clamped_while_pinned += 1;
-                }
-                if granted > Timestamp::EPOCH {
-                    sharded.prune_before(granted);
-                    wal.compact_pruned(PRECISION, granted)
-                        .map_err(|e| format!("wal compact: {e}"))?;
-                }
+        if i % 8 == 7 {
+            let (wanted, granted) = sweep(&mut wal, retain)?;
+            if pin.is_some() && granted < wanted {
+                clamped_while_pinned += 1;
             }
         }
     }
     stream.seal();
     drop(pin);
 
-    // Finish: final sweep + shell GC (retention scenarios), or the
-    // crash-mid-rebase surgery, or nothing.
-    let mut final_horizon = Timestamp::EPOCH;
-    let mut did_gc = false;
+    // The final sweep, shell GC and rebase of a retention feed.
+    let mut final_sweep = None;
     let mut shells = 0u64;
-    if let Some(retain) = retain {
-        let frontier = sharded.last_mutation_time().unwrap_or(Timestamp::EPOCH);
-        let granted = guard.clamp(frontier.saturating_sub(retain));
-        final_horizon = granted;
+    if let Some(retain) = feed.retain {
+        let granted = guard.clamp(target(retain));
         sharded.prune_before(granted);
         shells = sharded.gc_dead_shells();
-        did_gc = true;
         wal.flush().map_err(|e| format!("wal flush: {e}"))?;
         wal.compact_pruned_rebased(PRECISION, granted)
             .map_err(|e| format!("wal rebase: {e}"))?;
+        final_sweep = Some(granted);
     }
     wal.flush().map_err(|e| format!("wal flush: {e}"))?;
-
-    // pin-churn stragglers: their epochs were pinned *before* the final
-    // sweep, shell-GC and rebase — each must still materialize its
-    // pin-time oracle exactly.
-    for session in churn_sessions.drain(..) {
-        close_session(session, &mut sessions_checked, &mut sessions_diverged);
-    }
+    // The sessions still open were pinned *before* the final sweep, shell
+    // GC and rebase — each must still materialize its pin-time oracle.
+    survived.extend(sessions.drain(..).map(close));
 
     let mut orphans_swept = true;
-    if scenario == "crash-mid-rebase" {
+    if feed.rebase_crash {
         // Commit a manifest, then leave behind exactly what a compaction
         // that died between its temp writes and the manifest rename
         // would: an unreferenced base layer and a torn manifest temp.
@@ -734,226 +854,100 @@ fn run_feed_scenario(
     let replayed = wal
         .replay(PRECISION)
         .map_err(|e| format!("wal replay: {e}"))?;
-    let live_clustering = stream.clustering();
-
     let mut checks = standing_checks(
         &engine,
         &replayed,
         &snapshot,
         ReplayRelation::Equal,
-        &live_clustering.clustering,
+        &stream.clustering().clustering,
         &reference,
-        final_horizon,
-        did_gc,
+        final_sweep,
     );
-    match scenario {
-        "dead-shell-churn" => {
-            // The churned keys died before the horizon; GC must have
-            // collected their shells, and none may remain afterwards.
-            let mut probe = snapshot.clone();
-            let remaining = probe.gc_dead_shells();
-            checks.push(VoprCheck {
-                name: "no-dead-shells",
-                passed: shells >= 48 && remaining == 0,
-                detail: format!("{shells} shells collected, {remaining} left after GC"),
-            });
-        }
-        "sweep-vs-pin" => {
-            let released = post_release_horizon.unwrap_or(Timestamp::EPOCH);
+    if let Some(Edit::KeyChurn { keys, .. }) = feed.edit {
+        // The churned keys died before the horizon; GC must have
+        // collected their shells, and none may remain afterwards.
+        let remaining = snapshot.clone().gc_dead_shells();
+        checks.push(VoprCheck {
+            name: "no-dead-shells",
+            passed: shells >= keys && remaining == 0,
+            detail: format!("{shells} shells collected, {remaining} left after GC"),
+        });
+    }
+    match feed.pins {
+        None => {}
+        Some(Pins::SweepVsPin) => {
+            let final_horizon = final_sweep.unwrap_or(Timestamp::EPOCH);
             checks.push(VoprCheck {
                 name: "pin-respected-then-advanced",
-                passed: clamped_while_pinned >= 1 && released > pin_at && final_horizon >= released,
+                passed: clamped_while_pinned >= 1
+                    && released_to > pin_at
+                    && final_horizon >= released_to,
                 detail: format!(
                     "{clamped_while_pinned} sweeps clamped at pin {}ms, \
                      post-release horizon {}ms, final {}ms",
                     pin_at.as_millis(),
-                    released.as_millis(),
+                    released_to.as_millis(),
                     final_horizon.as_millis(),
                 ),
             });
         }
-        "pin-churn" => {
-            checks.push(check_pin_churn_sessions(
-                sessions_checked,
-                sessions_diverged,
-            ));
+        Some(Pins::Churn) => {
+            let diverged = survived.iter().filter(|same| !**same).count() as u64;
+            checks.push(check_pin_churn_sessions(survived.len() as u64, diverged));
             checks.push(check_epoch_equals_clone(
                 &snapshot,
                 &sharded.snapshot_store_cloned(),
             ));
         }
-        "crash-mid-rebase" => {
-            checks.push(VoprCheck {
-                name: "orphans-swept",
-                passed: orphans_swept,
-                detail: "reopen removes the orphan layer and the torn manifest temp".into(),
-            });
-        }
-        _ => {}
     }
-
-    let stats = snapshot.stats();
-    Ok(VoprOutcome {
-        scenario,
-        seed,
-        machines,
-        days,
-        mutations: stats.writes + stats.deletes,
-        reads: stats.reads,
-        checks,
-    })
+    if feed.rebase_crash {
+        checks.push(VoprCheck {
+            name: "orphans-swept",
+            passed: orphans_swept,
+            detail: "reopen removes the orphan layer and the torn manifest temp".into(),
+        });
+    }
+    Ok((snapshot.stats(), checks))
 }
 
 // ---------------------------------------------------------------------
 // Engine scenarios: the real concurrent engine with a fault plan.
 // ---------------------------------------------------------------------
 
-/// Runs one engine scenario: `ingest_live` with an injected [`FaultPlan`],
-/// analytics tapped through [`WriteLanes`], then the standing checks plus
-/// the scenario's extras.
-fn run_engine_scenario(
-    scenario: &'static str,
-    seed: u64,
-    dir: &std::path::Path,
-) -> Result<VoprOutcome, String> {
-    let (machines_n, days, config, faults) = match scenario {
-        "kill-ingest-worker" => (
-            4usize,
-            3u64,
-            FleetConfig {
-                shards: 4,
-                ingest_threads: 2,
-                batch_size: 64,
-                precision: PRECISION,
-                // Per-machine keyspace so the killed machine's absence is
-                // visible in the store itself.
-                placement: KeyPlacement::PerMachine,
-                retention: None,
-                seal_threshold: 256,
-            },
-            FaultPlan {
-                kill_worker_at_machine: Some(1),
-                ..FaultPlan::default()
-            },
-        ),
-        "wal-appender-crash" => (
-            2usize,
-            3u64,
-            FleetConfig {
-                shards: 4,
-                ingest_threads: 1,
-                batch_size: 32,
-                precision: PRECISION,
-                placement: KeyPlacement::Merged,
-                retention: None,
-                seal_threshold: 256,
-            },
-            FaultPlan {
-                wal_crash_after_frames: Some(5),
-                ..FaultPlan::default()
-            },
-        ),
-        "killed-worker-amid-pin-churn" => (
-            4usize,
-            3u64,
-            FleetConfig {
-                shards: 4,
-                ingest_threads: 2,
-                batch_size: 64,
-                precision: PRECISION,
-                // Per-machine keyspace so the killed machine's absence is
-                // visible in the store itself.
-                placement: KeyPlacement::PerMachine,
-                retention: None,
-                // Small enough that pins land mid-seal, not just between
-                // quiescent segments.
-                seal_threshold: 192,
-            },
-            FaultPlan {
-                kill_worker_at_machine: Some(1),
-                ..FaultPlan::default()
-            },
-        ),
-        "crash-mid-sweep" => (
-            3usize,
-            6u64,
-            FleetConfig {
-                shards: 4,
-                ingest_threads: 2,
-                batch_size: 64,
-                precision: PRECISION,
-                // Per-machine keyspace: with merged keys the two workers
-                // race to apply two machines' same-timestamp writes to one
-                // key, an order the sequential reference cannot predict
-                // (failing_seeds/006).
-                placement: KeyPlacement::PerMachine,
-                retention: Some(RetentionPolicy::keep_days(2)),
-                seal_threshold: 256,
-            },
-            FaultPlan {
-                sweeper_stop_after: Some(0),
-                ..FaultPlan::default()
-            },
-        ),
-        other => return Err(format!("`{other}` is not an engine scenario")),
-    };
-    let run_config = FleetRunConfig {
-        machines: machines_n,
-        days,
-        seed,
-        apps: vec!["gedit".into(), "evolution".into()],
-        engine: config.clone(),
-        wal_dir: None,
-    };
-    let machines = fleet_machines(&run_config)?;
+/// Runs one engine row: `ingest_live` with the row's [`FaultPlan`],
+/// analytics tapped through [`WriteLanes`] and the row's epoch pins taken
+/// meanwhile, then the standing checks plus one check per injected fault.
+fn run_engine(row: &Engine, seed: u64, dir: &Path) -> Result<(TtkvStats, Vec<VoprCheck>), String> {
+    let fleet = fleet(row.fleet, seed)?;
     let mut wal = Wal::open(dir).map_err(|e| format!("open scratch wal: {e}"))?;
     let engine = Ocasta::default();
-    let sharded = ShardedTtkv::with_seal_threshold(config.shards, config.seal_threshold);
-    let lanes = WriteLanes::new(config.shards);
+    let sharded = ShardedTtkv::with_seal_threshold(row.config.shards, row.config.seal_threshold);
+    let lanes = WriteLanes::new(row.config.shards);
     let guard = HorizonGuard::new();
-    // Epoch pins churned *while* the fault fires (killed-worker-amid-
-    // pin-churn only): each pin's immediate materialization is its own
-    // oracle, re-checked after ingestion settles.
-    let mut churned_pins: Vec<(EpochSnapshot, Ttkv)> = Vec::new();
-    let result = if scenario == "killed-worker-amid-pin-churn" {
-        let (wal_ref, pins_ref) = (&mut wal, &mut churned_pins);
-        std::thread::scope(|scope| {
-            let ingest = scope.spawn(|| {
-                ingest_live(
-                    &machines,
-                    &config,
-                    &sharded,
-                    IngestOptions {
-                        wal: Some(wal_ref),
-                        tap: Some(&lanes),
-                        guard: Some(&guard),
-                        metrics: None,
-                        faults: Some(&faults),
-                    },
-                )
-            });
-            for _ in 0..32 {
-                let pin = sharded.pin_epoch();
-                let oracle = pin.materialize();
-                pins_ref.push((pin, oracle));
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-            ingest.join().expect("ingest driver panicked")
-        })
-    } else {
-        ingest_live(
-            &machines,
-            &config,
-            &sharded,
-            IngestOptions {
-                wal: Some(&mut wal),
+    // Epoch pins taken while the fault fires: each pin's immediate
+    // materialization is its own oracle, re-checked after ingestion
+    // settles.
+    let mut pins: Vec<(EpochSnapshot, Ttkv)> = Vec::new();
+    let wal_ref = &mut wal;
+    let result = std::thread::scope(|scope| {
+        let ingest = scope.spawn(|| {
+            let options = IngestOptions {
+                wal: Some(wal_ref),
                 tap: Some(&lanes),
                 guard: Some(&guard),
                 metrics: None,
-                faults: Some(&faults),
-            },
-        )
-    };
+                faults: Some(&row.faults),
+            };
+            ingest_live(&fleet, &row.config, &sharded, options)
+        });
+        for _ in 0..row.pin_churn {
+            let pin = sharded.pin_epoch();
+            let oracle = pin.materialize();
+            pins.push((pin, oracle));
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        ingest.join().expect("ingest driver panicked")
+    });
     let mut stream = OcastaStream::new(&engine);
     stream.drain_lanes(&lanes);
     stream.seal();
@@ -961,122 +955,110 @@ fn run_engine_scenario(
 
     // The unbounded deterministic reference: sequential ingestion of the
     // machines that actually contributed, retention off.
-    let surviving: Vec<MachineSpec> = match scenario {
-        "kill-ingest-worker" | "killed-worker-amid-pin-churn" => machines
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != 1)
-            .map(|(_, m)| m.clone())
-            .collect(),
-        _ => machines.clone(),
-    };
+    let killed = row.faults.kill_worker_at_machine;
+    let survivors: Vec<MachineSpec> = fleet
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| Some(*i) != killed)
+        .map(|(_, machine)| machine.clone())
+        .collect();
     let reference_config = FleetConfig {
         retention: None,
-        ..config.clone()
+        ..row.config.clone()
     };
-    let reference = ingest_sequential(&surviving, &reference_config);
+    let reference = ingest_sequential(&survivors, &reference_config);
 
     let replayed = wal
         .replay(PRECISION)
         .map_err(|e| format!("wal replay: {e}"))?;
-    let relation = if scenario == "wal-appender-crash" {
+    // A dead appender lane loses every batch after its crash.
+    let relation = if row.faults.wal_crash_after_frames.is_some() {
         ReplayRelation::StrictPrefix
     } else {
         ReplayRelation::Equal
     };
-    let live_clustering = stream.clustering();
     let mut checks = standing_checks(
         &engine,
         &replayed,
         &snapshot,
         relation,
-        &live_clustering.clustering,
+        &stream.clustering().clustering,
         &reference,
-        Timestamp::EPOCH,
-        false,
+        None,
     );
-    match scenario {
-        "kill-ingest-worker" | "killed-worker-amid-pin-churn" => {
-            let named_right = matches!(
-                &result,
-                Err(IngestError::WorkerPanicked {
-                    machine: Some(name),
-                    ..
-                }) if name == "m001"
-            );
-            let killed_absent = snapshot.keys().all(|k| !k.as_str().starts_with("m001/"));
-            let survivors_present = snapshot.keys().any(|k| k.as_str().starts_with("m000/"))
-                && snapshot.keys().any(|k| k.as_str().starts_with("m003/"));
-            checks.push(VoprCheck {
-                name: "killed-machine-excluded",
-                passed: named_right && killed_absent && survivors_present,
-                detail: format!(
-                    "error names m001: {named_right}, m001 keys absent: {killed_absent}, \
-                     survivors present: {survivors_present}"
-                ),
-            });
-            if scenario == "killed-worker-amid-pin-churn" {
-                let diverged = churned_pins
-                    .iter()
-                    .filter(|(pin, oracle)| &pin.materialize() != oracle)
-                    .count() as u64;
-                let totals: Vec<u64> = churned_pins
-                    .iter()
-                    .map(|(_, oracle)| {
-                        let s = oracle.stats();
-                        s.writes + s.deletes
-                    })
-                    .collect();
-                checks.push(check_pin_churn_sessions(
-                    churned_pins.len() as u64,
-                    diverged,
-                ));
-                checks.push(check_pin_monotonicity(&totals));
-                checks.push(check_epoch_equals_clone(
-                    &snapshot,
-                    &sharded.snapshot_store_cloned(),
-                ));
-            }
-        }
-        "wal-appender-crash" => {
-            let (r, l) = (replayed.stats(), snapshot.stats());
-            checks.push(VoprCheck {
-                name: "wal-lane-died-silently",
-                passed: result.is_ok() && r.writes + r.deletes < l.writes + l.deletes,
-                detail: format!(
-                    "ingest ok: {}, replayed {} of {} mutations",
-                    result.is_ok(),
-                    r.writes + r.deletes,
-                    l.writes + l.deletes,
-                ),
-            });
-        }
-        "crash-mid-sweep" => {
-            let retention = result.as_ref().ok().and_then(|r| r.retention.as_ref());
-            let stopped_clean =
-                retention.is_some_and(|r| r.sweeps == 0 && r.horizon.is_none() && r.shells == 0);
-            checks.push(VoprCheck {
-                name: "sweeper-stopped-clean",
-                passed: stopped_clean,
-                detail: format!(
-                    "retention report: {:?}",
-                    retention.map(|r| (r.sweeps, r.horizon, r.shells)),
-                ),
-            });
-        }
-        _ => {}
+    if let Some(killed) = killed {
+        let name = &fleet[killed].name;
+        let holds = |machine: &str| {
+            snapshot.keys().any(|key| {
+                key.as_str()
+                    .strip_prefix(machine)
+                    .is_some_and(|rest| rest.starts_with('/'))
+            })
+        };
+        let named_right = matches!(
+            &result,
+            Err(IngestError::WorkerPanicked {
+                machine: Some(machine),
+                ..
+            }) if machine == name
+        );
+        let killed_absent = !holds(name);
+        let survivors_present = survivors.iter().all(|machine| holds(&machine.name));
+        checks.push(VoprCheck {
+            name: "killed-machine-excluded",
+            passed: named_right && killed_absent && survivors_present,
+            detail: format!(
+                "error names {name}: {named_right}, {name} keys absent: {killed_absent}, \
+                 survivors present: {survivors_present}"
+            ),
+        });
     }
-
-    let stats = snapshot.stats();
-    Ok(VoprOutcome {
-        scenario,
-        seed,
-        machines: machines_n,
-        days,
-        mutations: stats.writes + stats.deletes,
-        reads: stats.reads,
-        checks,
-    })
+    if row.pin_churn > 0 {
+        let diverged = pins
+            .iter()
+            .filter(|(pin, oracle)| &pin.materialize() != oracle)
+            .count() as u64;
+        let totals: Vec<u64> = pins
+            .iter()
+            .map(|(_, oracle)| oracle.stats().modifications())
+            .collect();
+        checks.push(check_pin_churn_sessions(pins.len() as u64, diverged));
+        checks.push(check_pin_monotonicity(&totals));
+        checks.push(check_epoch_equals_clone(
+            &snapshot,
+            &sharded.snapshot_store_cloned(),
+        ));
+    }
+    if row.faults.wal_crash_after_frames.is_some() {
+        let kept = replayed.stats().modifications();
+        let applied = snapshot.stats().modifications();
+        checks.push(VoprCheck {
+            name: "wal-lane-died-silently",
+            passed: result.is_ok() && kept < applied,
+            detail: format!(
+                "ingest ok: {}, replayed {kept} of {applied} mutations",
+                result.is_ok(),
+            ),
+        });
+    }
+    if let Some(stop) = row.faults.sweeper_stop_after {
+        // Stopped before sweep `stop + 1`: at most `stop` sweeps ran, the
+        // report's horizon is the last one's, and the final collect pass
+        // never ran.
+        let retention = result.as_ref().ok().and_then(|r| r.retention.as_ref());
+        let stopped_clean = retention.is_some_and(|r| {
+            r.sweeps <= stop && r.horizon.is_some() == (r.sweeps > 0) && r.shells == 0
+        });
+        checks.push(VoprCheck {
+            name: "sweeper-stopped-clean",
+            passed: stopped_clean,
+            detail: format!(
+                "retention report: {:?}",
+                retention.map(|r| (r.sweeps, r.horizon, r.shells)),
+            ),
+        });
+    }
+    Ok((snapshot.stats(), checks))
 }
 
 // ---------------------------------------------------------------------
@@ -1084,7 +1066,8 @@ fn run_engine_scenario(
 // ---------------------------------------------------------------------
 
 /// Runs the four standing invariant checks in canonical order.
-#[allow(clippy::too_many_arguments)]
+/// `final_sweep` is the horizon of the run's final sweep and shell GC, if
+/// it ran one.
 fn standing_checks(
     engine: &Ocasta,
     replayed: &Ttkv,
@@ -1092,15 +1075,15 @@ fn standing_checks(
     relation: ReplayRelation,
     live_clustering: &Clustering,
     reference: &Ttkv,
-    final_horizon: Timestamp,
-    did_gc: bool,
+    final_sweep: Option<Timestamp>,
 ) -> Vec<VoprCheck> {
     let batch = engine.cluster_store(reference);
     let (sequential, parallel) = search_both_ways(engine, snapshot);
+    let horizon = final_sweep.unwrap_or(Timestamp::EPOCH);
     vec![
         check_replay_matches_store(replayed, snapshot, relation),
         check_stream_equals_batch(live_clustering, &batch),
-        check_retention_equivalence(snapshot, reference, final_horizon, did_gc),
+        check_retention_equivalence(snapshot, reference, horizon, final_sweep.is_some()),
         check_parallel_equals_sequential(&sequential, &parallel),
     ]
 }

@@ -37,7 +37,7 @@ use ocasta_ttkv::{HorizonGuard, Key, PruneStats, TimeDelta, TimePrecision, Times
 use crate::fault::{panic_message, FaultPlan, IngestError};
 use crate::metrics::FleetMetrics;
 use crate::shard::ShardedTtkv;
-use crate::tap::WriteLanes;
+use crate::tap::{lane_events, WriteLanes};
 use crate::wal::{quantized, Wal, WalError};
 
 /// One simulated machine in the fleet: a named seed-deterministic workload.
@@ -110,7 +110,7 @@ pub struct RetentionPolicy {
 impl RetentionPolicy {
     /// A policy retaining the last `days` days of trace time, sweeping at
     /// most once per simulated day.
-    pub fn keep_days(days: u64) -> Self {
+    pub const fn keep_days(days: u64) -> Self {
         RetentionPolicy {
             retain: TimeDelta::from_days(days),
             min_interval: TimeDelta::from_days(1),
@@ -249,12 +249,13 @@ impl std::fmt::Display for FleetReport {
 pub struct IngestOptions<'a> {
     /// Append every accepted batch to this WAL before it is applied.
     pub wal: Option<&'a mut Wal>,
-    /// Hand every accepted batch to these lanes — the live-analytics hook
-    /// (see [`WriteLanes::on_batch`]). The tap runs on the ingest workers'
-    /// threads, outside the shard locks; batches reach it after placement
-    /// and timestamp quantisation — as the store sees them — and only
-    /// *after* the shard has applied them, so everything a tap consumer
-    /// has observed is already readable through a store snapshot.
+    /// Hand every accepted batch's [`lane_events`] to these lanes — the
+    /// live-analytics hook (see [`WriteLanes::on_batch`]). The tap runs on
+    /// the ingest workers' threads, outside the shard locks; batches reach
+    /// it after placement and timestamp quantisation — as the store sees
+    /// them — and only *after* the shard has applied them, so everything a
+    /// tap consumer has observed is already readable through a store
+    /// snapshot.
     pub tap: Option<&'a WriteLanes>,
     /// Clamp retention sweeps to this registry's live pins. Without a
     /// guard, a configured [`RetentionPolicy`] sweeps unclamped.
@@ -474,9 +475,11 @@ pub fn ingest_live(
                         // consumer has observed is already readable in the
                         // store, so a live snapshot pinned after a lane
                         // drain always contains the drained events (§5.8).
-                        // The clone is tap-path-only.
+                        // The lane events are taken before the apply moves
+                        // the batch: one key reference-count bump per
+                        // mutation, on the tapped path only.
                         let flush = |shard: usize, batch: Vec<TraceOp>| {
-                            let tapped = tap.map(|_| batch.clone());
+                            let events = tap.map(|_| lane_events(&batch));
                             sharded.append_batch_observed(
                                 shard,
                                 batch,
@@ -487,8 +490,8 @@ pub fn ingest_live(
                                 },
                                 metrics,
                             );
-                            if let (Some(tap), Some(batch)) = (tap, tapped) {
-                                tap.on_batch(shard, &batch);
+                            if let (Some(tap), Some(events)) = (tap, events) {
+                                tap.on_batch(shard, events);
                             }
                         };
                         loop {

@@ -95,5 +95,5 @@ pub use engine::{
 pub use fault::{FaultPlan, IngestError};
 pub use metrics::FleetMetrics;
 pub use shard::{key_hash, EpochSnapshot, ShardedTtkv, DEFAULT_SEAL_THRESHOLD};
-pub use tap::{LaneEvent, WriteLanes};
+pub use tap::{lane_events, LaneEvent, WriteLanes};
 pub use wal::{Wal, WalError, WalReader, WalWriter, WAL_MAGIC};

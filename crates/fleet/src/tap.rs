@@ -23,6 +23,17 @@ use ocasta_ttkv::{Key, Timestamp};
 /// One buffered mutation observation: which key changed, and when.
 pub type LaneEvent = (Key, Timestamp);
 
+/// The lane events of one batch: each mutation's key and time, in batch
+/// order, with reads skipped. Each event costs one reference-count bump
+/// on its key; no value is copied.
+pub fn lane_events(batch: &[TraceOp]) -> Vec<LaneEvent> {
+    batch
+        .iter()
+        .filter_map(TraceOp::as_mutation)
+        .map(|event| (event.key.clone(), event.timestamp))
+        .collect()
+}
+
 /// Per-shard mutation accumulators: the analytics-side half of the tap.
 ///
 /// Ingest workers append mutations to the lane of the shard they just
@@ -33,13 +44,13 @@ pub type LaneEvent = (Key, Timestamp);
 /// # Examples
 ///
 /// ```
-/// use ocasta_fleet::WriteLanes;
+/// use ocasta_fleet::{lane_events, WriteLanes};
 /// use ocasta_trace::{AccessEvent, TraceOp};
 /// use ocasta_ttkv::Timestamp;
 ///
 /// let lanes = WriteLanes::new(4);
 /// let op = TraceOp::Mutation(AccessEvent::write(Timestamp::from_secs(1), "app/k", 1));
-/// lanes.on_batch(2, std::slice::from_ref(&op));
+/// lanes.on_batch(2, lane_events(&[op]));
 /// assert_eq!(lanes.buffered(), 1);
 /// let drained = lanes.drain();
 /// assert_eq!(drained.len(), 1);
@@ -79,8 +90,8 @@ impl WriteLanes {
         out
     }
 
-    /// Observes one batch routed to `shard`: appends its mutations to that
-    /// shard's lane (an out-of-range `shard` wraps).
+    /// Observes one batch routed to `shard`: appends its [`lane_events`]
+    /// to that shard's lane (an out-of-range `shard` wraps).
     ///
     /// Ingest workers call this concurrently, once per shard batch, after
     /// placement and timestamp quantisation — the lanes see exactly what
@@ -91,21 +102,15 @@ impl WriteLanes {
     /// interleave arbitrarily across machines, so order-sensitive consumers
     /// must do their own sequencing (the streaming clustering path reorders
     /// by timestamp behind a watermark).
-    pub fn on_batch(&self, shard: usize, batch: &[TraceOp]) {
-        let mut buffered: Vec<LaneEvent> = Vec::new();
-        for op in batch {
-            if let TraceOp::Mutation(event) = op {
-                buffered.push((event.key.clone(), event.timestamp));
-            }
-        }
-        if buffered.is_empty() {
+    pub fn on_batch(&self, shard: usize, mut events: Vec<LaneEvent>) {
+        if events.is_empty() {
             return;
         }
         let lane = shard % self.lanes.len();
         self.lanes[lane]
             .lock()
             .expect("lane lock poisoned")
-            .append(&mut buffered);
+            .append(&mut events);
     }
 }
 
@@ -128,9 +133,9 @@ mod tests {
         let lanes = WriteLanes::new(2);
         lanes.on_batch(
             0,
-            &[write_op("a/x", 1), TraceOp::Reads(Key::new("a/x"), 99)],
+            lane_events(&[write_op("a/x", 1), TraceOp::Reads(Key::new("a/x"), 99)]),
         );
-        lanes.on_batch(1, &[write_op("b/y", 2)]);
+        lanes.on_batch(1, lane_events(&[write_op("b/y", 2)]));
         assert_eq!(lanes.buffered(), 2);
         let mut keys: Vec<String> = lanes
             .drain()
@@ -144,10 +149,10 @@ mod tests {
     #[test]
     fn drain_empties_and_ingestion_can_continue() {
         let lanes = WriteLanes::new(1);
-        lanes.on_batch(0, &[write_op("a/x", 1)]);
+        lanes.on_batch(0, lane_events(&[write_op("a/x", 1)]));
         assert_eq!(lanes.drain().len(), 1);
         assert_eq!(lanes.buffered(), 0);
-        lanes.on_batch(0, &[write_op("a/y", 2)]);
+        lanes.on_batch(0, lane_events(&[write_op("a/y", 2)]));
         assert_eq!(lanes.drain().len(), 1);
     }
 
@@ -160,7 +165,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200u64 {
                         let op = write_op(&format!("w{worker}/k{i}"), i);
-                        lanes.on_batch((i % 4) as usize, std::slice::from_ref(&op));
+                        lanes.on_batch((i % 4) as usize, lane_events(&[op]));
                     }
                 });
             }
@@ -171,7 +176,7 @@ mod tests {
     #[test]
     fn out_of_range_shards_wrap_instead_of_panicking() {
         let lanes = WriteLanes::new(2);
-        lanes.on_batch(7, &[write_op("a/x", 1)]);
+        lanes.on_batch(7, lane_events(&[write_op("a/x", 1)]));
         assert_eq!(lanes.buffered(), 1);
     }
 }

@@ -16,7 +16,8 @@ use std::path::Path;
 use ocasta::{run_vopr, vopr_scenario_names};
 
 /// The pinned seed pair every scenario runs under in tier-1 (and in the
-/// CI smoke matrix — keep `.github/workflows/ci.yml` in sync).
+/// CI smoke matrix, which diffs each verdict against its golden — keep
+/// `.github/workflows/ci.yml` in sync).
 const SEEDS: [u64; 2] = [7, 1042];
 
 #[test]
@@ -46,6 +47,28 @@ fn every_scenario_passes_on_pinned_seeds() {
             );
         }
     }
+}
+
+/// `tests/golden/vopr/` holds exactly one `<scenario>-<seed>.txt` per
+/// listed scenario and pinned seed, and nothing else, so a renamed or
+/// dropped scenario cannot leave an orphaned golden behind.
+#[test]
+fn golden_corpus_is_exactly_the_scenario_matrix() {
+    let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/vopr");
+    let mut found: Vec<String> = fs::read_dir(&goldens)
+        .expect("tests/golden/vopr exists")
+        .map(|e| {
+            let name = e.expect("readable entry").file_name();
+            name.into_string().expect("UTF-8 file name")
+        })
+        .collect();
+    found.sort();
+    let mut expected: Vec<String> = vopr_scenario_names()
+        .iter()
+        .flat_map(|scenario| SEEDS.map(|seed| format!("{scenario}-{seed}.txt")))
+        .collect();
+    expected.sort();
+    assert_eq!(found, expected, "golden files vs scenario x seed matrix");
 }
 
 /// Same scenario + same seed ⇒ byte-identical verdict report. This is

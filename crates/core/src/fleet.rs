@@ -10,7 +10,7 @@ use ocasta_fleet::{
     ingest_live, FleetConfig, FleetMetrics, FleetReport, IngestOptions, KeyPlacement, MachineSpec,
     ShardedTtkv, Wal,
 };
-use ocasta_ttkv::{TimePrecision, Ttkv};
+use ocasta_ttkv::Ttkv;
 
 use crate::pipeline::{Clustering, Ocasta};
 
@@ -21,7 +21,8 @@ pub struct FleetRunConfig {
     pub machines: usize,
     /// Deployment length in days per machine.
     pub days: u64,
-    /// Base RNG seed; machine `i` uses `seed + i`.
+    /// Base RNG seed; machine `i` uses `seed + i`, wrapping past
+    /// `u64::MAX`.
     pub seed: u64,
     /// Applications installed on every machine (names resolved through
     /// [`crate::model_by_name`]); empty means the full catalog.
@@ -83,7 +84,7 @@ pub fn fleet_machines(config: &FleetRunConfig) -> Result<Vec<MachineSpec>, Strin
             MachineSpec::new(
                 format!("m{i:03}"),
                 config.days,
-                config.seed + i as u64,
+                config.seed.wrapping_add(i as u64),
                 specs.clone(),
             )
         })
@@ -125,15 +126,6 @@ pub fn run_fleet(
     })
 }
 
-/// Convenience re-exports so callers need only the facade crate.
-pub use ocasta_fleet::{
-    FleetConfig as FleetEngineConfig, KeyPlacement as FleetKeyPlacement,
-    MachineSpec as FleetMachineSpec,
-};
-
-/// The default quantisation the CLI uses (matches the deployed loggers).
-pub const FLEET_DEFAULT_PRECISION: TimePrecision = TimePrecision::Seconds;
-
 /// `KeyPlacement` parsed from a CLI word.
 pub fn parse_placement(text: &str) -> Result<KeyPlacement, String> {
     match text {
@@ -148,6 +140,7 @@ pub fn parse_placement(text: &str) -> Result<KeyPlacement, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ocasta_ttkv::TimePrecision;
 
     fn small_config() -> FleetRunConfig {
         FleetRunConfig {
@@ -233,6 +226,21 @@ mod tests {
             mutations.iter().all(|&m| m == mutations[0]),
             "same fleet => same mutation count: {mutations:?}"
         );
+    }
+
+    /// Machine `i`'s seed wraps past `u64::MAX` instead of overflowing.
+    #[test]
+    fn machine_seeds_wrap_past_the_largest_seed() {
+        let machines = fleet_machines(&FleetRunConfig {
+            machines: 2,
+            days: 1,
+            seed: u64::MAX,
+            apps: vec!["gedit".into()],
+            ..FleetRunConfig::default()
+        })
+        .unwrap();
+        let seeds: Vec<u64> = machines.iter().map(|machine| machine.seed).collect();
+        assert_eq!(seeds, [u64::MAX, 0]);
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! comes from the checked-in `lint.toml`; findings use the doctor's
 //! severity model and the run exits non-zero on any Error.
 //!
-//! Run it as `cargo run -p ocasta-lint -- --workspace` or
-//! `ocasta lint`; CI runs it with `--json` and fails on Errors.
+//! Run it as `cargo run -p ocasta-lint -- --workspace`, the one front
+//! end; CI runs it with `--json` and fails on Errors.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -4,6 +4,9 @@
 //! ocasta-lint --workspace [--root <dir>] [--json]
 //! ```
 //!
+//! Without `--root`, the root is the nearest directory holding a
+//! `lint.toml`, the current directory or one of its ancestors.
+//!
 //! Exit codes: 0 clean (warnings allowed), 1 at least one Error finding,
 //! 2 usage or I/O problem.
 
@@ -27,14 +30,14 @@ Checks the Ocasta project invariants (see lint.toml):
 fn main() -> ExitCode {
     let mut workspace = false;
     let mut json = false;
-    let mut root = PathBuf::from(".");
+    let mut root = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--json" => json = true,
             "--root" => match args.next() {
-                Some(dir) => root = PathBuf::from(dir),
+                Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
                     eprintln!("--root needs a directory\n{USAGE}");
                     return ExitCode::from(2);
@@ -54,7 +57,10 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
-    match lint_workspace(&root) {
+    match root
+        .map_or_else(find_lint_root, Ok)
+        .and_then(|root| lint_workspace(&root))
+    {
         Ok(report) => {
             if json {
                 print!("{}", report.render_json());
@@ -72,4 +78,21 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// The nearest ancestor of the current directory (itself included) that
+/// holds a `lint.toml`.
+fn find_lint_root() -> Result<PathBuf, String> {
+    let start = std::env::current_dir().map_err(|e| format!("cannot read current dir: {e}"))?;
+    start
+        .ancestors()
+        .find(|dir| dir.join("lint.toml").is_file())
+        .map(PathBuf::from)
+        .ok_or_else(|| {
+            format!(
+                "no lint.toml found in {} or any parent — run from the workspace or pass \
+                 --root <dir>",
+                start.display()
+            )
+        })
 }

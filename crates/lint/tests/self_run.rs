@@ -30,3 +30,18 @@ fn the_workspace_lints_clean() {
         report.render_table()
     );
 }
+
+/// Without `--root`, the binary walks up from the current directory to
+/// the nearest `lint.toml`, so it lints the whole workspace from inside
+/// any crate.
+#[test]
+fn the_binary_finds_the_workspace_from_a_subdirectory() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_ocasta-lint"))
+        .arg("--workspace")
+        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("src"))
+        .output()
+        .expect("run ocasta-lint");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "{stdout}");
+    assert!(stdout.contains(" 0 error(s)"), "{stdout}");
+}
